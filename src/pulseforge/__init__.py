@@ -67,10 +67,12 @@ from .harness import (
     complete_binary_tree,
     oracle_expected_leader,
     expected_total_pulses,
+    pulse_bound,
     verify_outcome,
+    verify_model_check,
     sweep,
     resolve_tree,
-    cli,
 )
+from .cli import cli
 
 __version__ = "0.1.0"

@@ -1,5 +1,5 @@
-"""Workload generation, ground-truth oracles, batch experiments, and the
-command-line surface.
+"""Workload generation, ground-truth oracles, the judge of runs and
+model checks, and batch experiments.
 
 The oracles here recompute expected leaders and exact pulse totals
 straight from the topology, without touching the protocol engine, so a
@@ -9,40 +9,19 @@ second route.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import heapq
 import json
 import os
 import random
 import re
-import sys
 import time
 from dataclasses import dataclass
 
-from .protocol import (
-    LEADER,
-    OddDiameterError,
-    RuleConsistencyError,
-    SymmetricTreeError,
-    compile_even_rules,
-    compile_general_rules,
-)
-from .simulator import (
-    DuplicateIdsError,
-    MissingIdsError,
-    NoPulseInFlightError,
-    SeededRandom,
-    StateCapExceededError,
-    explore_all_schedules,
-    new_simulation,
-    run,
-)
+from .protocol import LEADER, OddDiameterError, SymmetricTreeError
+from .simulator import SeededRandom, new_simulation, run
 from .topology import (
-    ParseError,
     TreeTopology,
-    decode_parens,
-    encode_parens,
     enumerate_subtrees,
     is_edge_symmetric,
     layer_decomposition,
@@ -152,12 +131,11 @@ def generate(spec):
 def oracle_expected_leader(t):
     """The one vertex allowed to win: the center, or the higher-ranked
     end of the central edge when the diameter is odd."""
-    layering = layer_decomposition(t)
-    if layering.co_root is not None and layering.arbitrary_root:
+    report = is_edge_symmetric(t)
+    if report.symmetric:
         # comparator tie on the central halves: no canonical winner
-        raise SymmetricTreeError((min(layering.root, layering.co_root),
-                                  max(layering.root, layering.co_root)))
-    return layering.root
+        raise SymmetricTreeError(report.witness_edge)
+    return layer_decomposition(t).root
 
 
 def expected_total_pulses(t, algorithm):
@@ -188,60 +166,105 @@ def stabilizing_pair_total(t, ids, leader, blocked):
     return t.n + ids[leader] + ids[blocked[0]]
 
 
+def pulse_bound(t, algorithm, ids=None):
+    """The paper's bound on the pulses one run sends in total.
+
+    even: the exact total; general: (n-1)^2 + (n-1); stabilizing:
+    n + 2 * ID_max - 1; 0 on a single vertex. Every delivery consumes a
+    sent pulse, so a correct run never makes more deliveries than this.
+    """
+    if t.n == 1:
+        return 0
+    if algorithm == "even":
+        return expected_total_pulses(t, "even")
+    if algorithm == "general":
+        return (t.n - 1) ** 2 + (t.n - 1)
+    if algorithm == "stabilizing":
+        return t.n + 2 * max(ids) - 1
+    raise ValueError("no pulse bound for algorithm %r" % (algorithm,))
+
+
+def _check(checks, name, ok, expected, observed):
+    checks.append({"name": name, "ok": bool(ok),
+                   "expected": expected, "observed": observed})
+
+
+def _check_result(checks, result, t, algorithm, ids):
+    """The checks every finished result must pass, whether a run Outcome
+    or one TerminalClass of a model check."""
+    leaders = sum(1 for o in result.outputs if o == LEADER)
+    _check(checks, "unique_leader", leaders == 1, 1, leaders)
+    if algorithm == "stabilizing":
+        expected_total = stabilizing_pair_total(t, ids, result.leader,
+                                                result.blocked)
+    else:
+        expected_leader = oracle_expected_leader(t)
+        _check(checks, "leader_matches_oracle",
+               result.leader == expected_leader, expected_leader,
+               result.leader)
+        expected_total = expected_total_pulses(t, algorithm)
+    _check(checks, "exact_total",
+           expected_total is not None
+           and result.total_pulses == expected_total,
+           expected_total, result.total_pulses)
+    bound = pulse_bound(t, algorithm, ids)
+    _check(checks, "total_bound", result.total_pulses <= bound,
+           "<= %d" % bound, result.total_pulses)
+
+
+def _verdict(algorithm, checks):
+    return {"algorithm": algorithm, "ok": all(c["ok"] for c in checks),
+            "checks": checks}
+
+
 def verify_outcome(outcome, t, algorithm):
     """Judge one Outcome against the oracles; failures are rows, not
     exceptions."""
     checks = []
-
-    def check(name, ok, expected, observed):
-        checks.append({"name": name, "ok": bool(ok),
-                       "expected": expected, "observed": observed})
-
     wanted = ("stabilized", "terminated") if algorithm == "stabilizing" \
         else ("terminated",)
-    check("completed", outcome.status in wanted, "/".join(wanted),
-          outcome.status)
-    leaders = sum(1 for o in outcome.outputs if o == LEADER)
-    check("unique_leader", leaders == 1, 1, leaders)
-
-    if algorithm in ("even", "general"):
-        expected_leader = oracle_expected_leader(t)
-        check("leader_matches_oracle", outcome.leader == expected_leader,
-              expected_leader, outcome.leader)
-        expected_total = expected_total_pulses(t, algorithm)
-        check("exact_total", outcome.total_pulses == expected_total,
-              expected_total, outcome.total_pulses)
+    _check(checks, "completed", outcome.status in wanted, "/".join(wanted),
+           outcome.status)
+    _check_result(checks, outcome, t, algorithm, outcome.ids)
     if algorithm == "general":
-        bound = (t.n - 1) ** 2 + (t.n - 1)
-        check("total_bound", outcome.total_pulses <= bound,
-              "<= %d" % bound, outcome.total_pulses)
         quiet = (outcome.deliveries_to_halted == 0
                  and outcome.in_flight_at_leader == 0
                  and outcome.violation is None)
-        check("quiescent", quiet, "0 absorbed, 0 in flight at declaration",
-              {"deliveries_to_halted": outcome.deliveries_to_halted,
-               "in_flight_at_leader": outcome.in_flight_at_leader})
-    if algorithm == "stabilizing":
-        expected_total = stabilizing_pair_total(
-            t, outcome.ids, outcome.leader, outcome.blocked)
-        check("exact_total",
-              expected_total is not None
-              and outcome.total_pulses == expected_total,
-              expected_total, outcome.total_pulses)
-        bound = t.n + 2 * max(outcome.ids) - 1 if t.n > 1 else 0
-        check("total_bound", outcome.total_pulses <= bound,
-              "<= %d" % bound, outcome.total_pulses)
+        _check(checks, "quiescent", quiet,
+               "0 absorbed, 0 in flight at declaration",
+               {"deliveries_to_halted": outcome.deliveries_to_halted,
+                "in_flight_at_leader": outcome.in_flight_at_leader})
     if algorithm in ("even", "general") and outcome.trace is not None \
             and outcome.leader_step is not None:
         layering = layer_decomposition(t)
         bad = [e for e in outcome.trace
                if e["step"] <= outcome.leader_step
                and layering.parent_of[e["edge"][0]] != e["edge"][1]]
-        check("direction", not bad, "all pre-leader deliveries child->parent",
-              "%d violations" % len(bad))
+        _check(checks, "direction", not bad,
+               "all pre-leader deliveries child->parent",
+               "%d violations" % len(bad))
+    return _verdict(algorithm, checks)
 
-    return {"algorithm": algorithm, "ok": all(c["ok"] for c in checks),
-            "checks": checks}
+
+def verify_model_check(report, t, ids=None):
+    """Judge a ModelCheckReport: every terminal class must pass the
+    checks of a run, and the explorer's counters must show no
+    violation. ids are the ones the exploration was given."""
+    checks = []
+    counters = ["multi_leader_states"]
+    if report.algorithm != "stabilizing":
+        _check(checks, "confluent", report.confluent, "1 terminal class",
+               "%d terminal classes" % len(report.terminal_classes))
+        counters.append("direction_violations")
+    if report.algorithm == "general":
+        counters += ["halted_delivery_transitions",
+                     "nonquiescent_declarations"]
+    for c in report.terminal_classes:
+        _check_result(checks, c, t, report.algorithm, ids)
+    for name in counters:
+        value = getattr(report, name)
+        _check(checks, name, value == 0, 0, value)
+    return _verdict(report.algorithm, checks)
 
 
 SWEEP_SCHEMA = "pulseforge sweep schema v1"
@@ -252,7 +275,11 @@ SWEEP_COLUMNS = ("generator", "n", "D", "algorithm", "seed", "status",
 @dataclass
 class ExperimentReport:
     rows: list
-    passed: bool
+    failures: list  # failed checks of every row, named after the row
+
+    @property
+    def passed(self):
+        return not self.failures
 
     def to_json(self):
         return json.dumps({"schema": SWEEP_SCHEMA, "passed": self.passed,
@@ -274,14 +301,9 @@ class ExperimentReport:
             writer.writerow(cells)
 
 
-def _auto_budget(n):
-    return 2 * (n * n + n) + 64
-
-
 def _sweep_one(spec, algorithm, seed, budget):
     t = generate(GeneratorSpec(spec.kind, spec.n, spec.radius, seed,
                                spec.max_retries))
-    layering = layer_decomposition(t)
     ids = None
     if algorithm == "stabilizing":
         # Permutation of 1..n: keeps ID_max = n, so the bound is 3n-1.
@@ -289,47 +311,43 @@ def _sweep_one(spec, algorithm, seed, budget):
         random.Random(seed).shuffle(ids)
     started = time.perf_counter()
     state = new_simulation(t, algorithm, ids)
-    outcome = run(state, SeededRandom(seed), budget or _auto_budget(t.n))
+    bound = pulse_bound(t, algorithm, state.ids)
+    outcome = run(state, SeededRandom(seed), budget or max(1, bound))
     elapsed = time.perf_counter() - started
-    if algorithm == "even":
-        bound = expected_total_pulses(t, "even")
-        bound_ok = outcome.total_pulses == bound
-        leader_ok = outcome.leader == oracle_expected_leader(t)
-    elif algorithm == "general":
-        bound = (t.n - 1) ** 2 + (t.n - 1)
-        bound_ok = (outcome.total_pulses <= bound
-                    and outcome.total_pulses
-                    == expected_total_pulses(t, "general"))
-        leader_ok = outcome.leader == oracle_expected_leader(t)
-    else:
-        bound = 3 * t.n - 1 if t.n > 1 else 0
-        bound_ok = outcome.total_pulses <= bound
-        leader_ok = sum(1 for o in outcome.outputs if o == LEADER) == 1
-    completed = outcome.status in ("terminated", "stabilized")
-    return {
+    verdict = verify_outcome(outcome, t, algorithm)
+    ok = {c["name"]: c["ok"] for c in verdict["checks"]}
+    # A stabilizing total depends on which pair fought the election, so
+    # the row's pulse column there shows the bound alone.
+    exact = ok["exact_total"] or algorithm == "stabilizing"
+    row = {
         "generator": spec.label(),
         "n": t.n,
-        "D": layering.diameter,
+        "D": layer_decomposition(t).diameter,
         "algorithm": algorithm,
         "seed": seed,
         "status": outcome.status,
-        "leader_ok": leader_ok and completed,
+        "leader_ok": (ok["completed"] and ok["unique_leader"]
+                      and ok.get("leader_matches_oracle", True)),
         "pulses": outcome.total_pulses,
         "bound": bound,
-        "bound_ok": bound_ok,
+        "bound_ok": exact and ok["total_bound"],
         "wall_time": round(elapsed, 6),
     }
+    failures = [dict(c, name="%s seed %d: %s"
+                     % (row["generator"], seed, c["name"]))
+                for c in verdict["checks"] if not c["ok"]]
+    return row, failures
 
 
 def sweep(specs, algorithm, seeds, *, budget=0):
     """Run algorithm on every spec x seed pair; rows sorted, aggregate
-    pass iff every row has the right leader and pulse count."""
-    rows = [_sweep_one(spec, algorithm, seed, budget)
-            for spec in specs for seed in seeds]
-    rows.sort(key=lambda r: (r["generator"], r["n"], r["algorithm"],
-                             r["seed"]))
-    passed = all(r["leader_ok"] and r["bound_ok"] for r in rows)
-    return ExperimentReport(rows=rows, passed=passed)
+    pass iff every run passes verify_outcome."""
+    results = [_sweep_one(spec, algorithm, seed, budget)
+               for spec in specs for seed in seeds]
+    results.sort(key=lambda rf: (rf[0]["generator"], rf[0]["n"],
+                                 rf[0]["algorithm"], rf[0]["seed"]))
+    return ExperimentReport(rows=[row for row, _ in results],
+                            failures=[c for _, fs in results for c in fs])
 
 
 _BUILTIN_RE = re.compile(r"^(path|star|binary)(\d+)$")
@@ -363,294 +381,3 @@ def resolve_tree(arg):
     if t is None:
         raise ValueError("no such file or builtin tree: %r" % (arg,))
     return t
-
-
-def _parse_range(text):
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-        if hi < lo:
-            raise ValueError("empty range %r" % (text,))
-        return list(range(lo, hi + 1))
-    return [int(text)]
-
-
-def _parse_ids(text):
-    if text is None:
-        return None
-    return [int(x) for x in text.split(",") if x.strip() != ""]
-
-
-def _default_seed():
-    raw = os.environ.get("PULSEFORGE_SEED")
-    if raw is None:
-        return 0
-    return int(raw)
-
-
-def _emit(text, out_path):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
-    else:
-        print(text)
-
-
-def _cmd_run(args):
-    t = resolve_tree(args.tree)
-    ids = _parse_ids(args.ids)
-    state = new_simulation(t, args.alg, ids,
-                           record_trace=args.trace is not None)
-    budget = args.budget or _auto_budget(t.n)
-    outcome = run(state, SeededRandom(args.seed), budget)
-    if args.trace is not None:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            for entry in outcome.trace:
-                fh.write(json.dumps(entry, sort_keys=True) + "\n")
-    _emit(json.dumps(outcome.to_dict(), sort_keys=True, indent=2), args.out)
-    report = verify_outcome(outcome, t, args.alg)
-    if not report["ok"]:
-        for c in report["checks"]:
-            if not c["ok"]:
-                print("check failed: %s (expected %s, observed %s)"
-                      % (c["name"], c["expected"], c["observed"]),
-                      file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_rules(args):
-    t = resolve_tree(args.tree)
-    if args.alg == "even":
-        rules = compile_even_rules(layer_decomposition(t).diameter)
-    elif args.alg == "general":
-        rules = compile_general_rules(t)
-    else:
-        raise ValueError("the stabilizing algorithm has no compiled rules")
-    _emit("\n".join(rules.describe()), args.out)
-    return 0
-
-
-def _cmd_layers(args):
-    t = resolve_tree(args.tree)
-    layering = layer_decomposition(t)
-    index = enumerate_subtrees(t, layering)
-    doc = {
-        "n": t.n,
-        "diameter": layering.diameter,
-        "radius": layering.radius,
-        "layers": [list(block) for block in layering.layers],
-        "parent_of": list(layering.parent_of),
-        "root": layering.root,
-        "co_root": layering.co_root,
-        "arbitrary_root": layering.arbitrary_root,
-        "shape_count": index.count,
-        "class_of": list(index.class_of),
-        "quota_of": [index.quota_of(v) for v in range(t.n)],
-        "canonical": list(index.canon),
-    }
-    _emit(json.dumps(doc, sort_keys=True, indent=2), args.out)
-    return 0
-
-
-def _cmd_symmetry(args):
-    t = resolve_tree(args.tree)
-    report = is_edge_symmetric(t)
-    doc = {"symmetric": report.symmetric,
-           "witness_edge": None if report.witness_edge is None
-           else list(report.witness_edge)}
-    _emit(json.dumps(doc, sort_keys=True, indent=2), args.out)
-    return 0
-
-
-def _check_mc(report, t, ids):
-    problems = []
-    if report.multi_leader_states:
-        problems.append("%d states with two leaders"
-                        % report.multi_leader_states)
-    if report.algorithm in ("even", "general"):
-        if not report.confluent:
-            problems.append("%d terminal classes"
-                            % len(report.terminal_classes))
-        expected = oracle_expected_leader(t)
-        if report.leaders != (expected,):
-            problems.append("leaders %r, oracle says %d"
-                            % (report.leaders, expected))
-        total = expected_total_pulses(t, report.algorithm)
-        for c in report.terminal_classes:
-            if c.total_pulses != total:
-                problems.append("class with %d pulses, oracle says %d"
-                                % (c.total_pulses, total))
-        if report.direction_violations:
-            problems.append("%d upstream deliveries not child->parent"
-                            % report.direction_violations)
-    if report.algorithm == "general":
-        if report.halted_delivery_transitions:
-            problems.append("%d deliveries to halted nodes"
-                            % report.halted_delivery_transitions)
-        if report.nonquiescent_declarations:
-            problems.append("%d leader declarations with pulses in flight"
-                            % report.nonquiescent_declarations)
-    if report.algorithm == "stabilizing":
-        for c in report.terminal_classes:
-            if sum(1 for o in c.outputs if o == LEADER) != 1:
-                problems.append("terminal class without a unique leader")
-                continue
-            expected = stabilizing_pair_total(t, ids, c.leader, c.blocked)
-            if expected is None or c.total_pulses != expected:
-                problems.append("class with %d pulses, pair formula says %s"
-                                % (c.total_pulses, expected))
-            bound = t.n + 2 * max(ids) - 1 if t.n > 1 else 0
-            if c.total_pulses > bound:
-                problems.append("class exceeds bound %d" % bound)
-    return problems
-
-
-def _cmd_mc(args):
-    t = resolve_tree(args.tree)
-    ids = _parse_ids(args.ids)
-    report = explore_all_schedules(t, args.alg, ids,
-                                   max_states=args.max_states)
-    _emit(json.dumps(report.to_dict(), sort_keys=True, indent=2), args.out)
-    problems = _check_mc(report, t, ids)
-    for p in problems:
-        print("check failed: %s" % p, file=sys.stderr)
-    return 1 if problems else 0
-
-
-def _cmd_sweep(args):
-    ns = _parse_range(args.n) if args.n else [None]
-    radii = _parse_range(args.radius) if args.radius else [None]
-    kind = args.gen.replace("-", "_")
-    if kind == "complete_binary":
-        if args.radius is None:
-            raise ValueError("complete-binary sweeps need --radius")
-        specs = [GeneratorSpec(kind, radius=r) for r in radii]
-    else:
-        if args.n is None:
-            raise ValueError("--n is required for generator %r" % args.gen)
-        specs = [GeneratorSpec(kind, n=n) for n in ns]
-    seeds = [args.seed + i for i in range(args.seeds)]
-    report = sweep(specs, args.alg, seeds, budget=args.budget)
-    if args.format == "csv":
-        if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                report.write_csv(fh)
-        else:
-            report.write_csv(sys.stdout)
-    else:
-        _emit(report.to_json(), args.out)
-    return 0 if report.passed else 1
-
-
-def _cmd_encode(args):
-    t = resolve_tree(args.tree)
-    root = args.root if args.root is not None else layer_decomposition(t).root
-    if not 0 <= root < t.n:
-        raise ValueError("root %d out of range" % root)
-    _emit(encode_parens(t, root), args.out)
-    return 0
-
-
-def _cmd_decode(args):
-    text = sys.stdin.read() if args.text == "-" else args.text
-    t = decode_parens(text.strip())
-    lines = ["%d %d" % edge for edge in t.edges()]
-    _emit("\n".join(lines) if lines else "", args.out)
-    return 0
-
-
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="pulseforge",
-        description="Simulate and verify content-oblivious leader election "
-                    "on trees.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, tree=True, alg=None, seeded=False):
-        if tree:
-            p.add_argument("--tree", required=True,
-                           help="edge-list file or builtin "
-                                "(single, pathN, starN, binaryN, c5)")
-        if alg:
-            p.add_argument("--alg", required=True, choices=alg)
-        if seeded:
-            p.add_argument("--seed", type=int, default=_default_seed(),
-                           help="default from PULSEFORGE_SEED, else 0")
-        p.add_argument("--out", default=None, help="write output here "
-                       "instead of stdout")
-
-    p = sub.add_parser("run", help="simulate one run, print the outcome")
-    common(p, alg=("even", "general", "stabilizing"), seeded=True)
-    p.add_argument("--budget", type=int, default=0,
-                   help="max deliveries, 0 = automatic")
-    p.add_argument("--ids", default=None,
-                   help="comma-separated IDs for the stabilizing algorithm")
-    p.add_argument("--trace", default=None,
-                   help="write a JSONL delivery trace here")
-    p.set_defaults(func=_cmd_run)
-
-    p = sub.add_parser("rules", help="print the compiled rule set")
-    common(p, alg=("even", "general"))
-    p.set_defaults(func=_cmd_rules)
-
-    p = sub.add_parser("layers", help="print layering and subtree classes")
-    common(p)
-    p.set_defaults(func=_cmd_layers)
-
-    p = sub.add_parser("symmetry", help="test for edge symmetry")
-    common(p)
-    p.set_defaults(func=_cmd_symmetry)
-
-    p = sub.add_parser("mc", help="exhaustive schedule exploration")
-    common(p, alg=("even", "general", "stabilizing"))
-    p.add_argument("--ids", default=None)
-    p.add_argument("--max-states", type=int, default=10 ** 6)
-    p.set_defaults(func=_cmd_mc)
-
-    p = sub.add_parser("sweep", help="batch experiments to CSV or JSON")
-    common(p, tree=False, alg=("even", "general", "stabilizing"),
-           seeded=True)
-    p.add_argument("--gen", required=True,
-                   choices=("path", "star", "complete-binary", "random",
-                            "random-asymmetric"))
-    p.add_argument("--n", default=None, help="size or range, e.g. 7 or 4..12")
-    p.add_argument("--radius", default=None,
-                   help="radius or range for complete-binary")
-    p.add_argument("--seeds", type=int, default=1,
-                   help="number of consecutive seeds, starting at --seed")
-    p.add_argument("--budget", type=int, default=0)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("encode", help="advice string for a tree")
-    common(p)
-    p.add_argument("--root", type=int, default=None,
-                   help="root vertex, default: the oracle winner")
-    p.set_defaults(func=_cmd_encode)
-
-    p = sub.add_parser("decode", help="advice string back to an edge list")
-    p.add_argument("text", help="parenthesis string, or - for stdin")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_decode)
-
-    return parser
-
-
-def cli(argv):
-    """Entry point; returns the process exit code."""
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        return args.func(args)
-    except (ParseError, SymmetricTreeError, OddDiameterError,
-            RuleConsistencyError, MissingIdsError, DuplicateIdsError,
-            NoPulseInFlightError, StateCapExceededError, GenerationError,
-            OSError, ValueError) as exc:
-        print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
-        return 2

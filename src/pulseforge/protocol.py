@@ -110,13 +110,12 @@ class RuleSet:
     """Compiled rules for one algorithm instance."""
 
     def __init__(self, algorithm, upstream, leader, radius=None,
-                 shape_count=None, matching="at_least"):
+                 shape_count=None):
         self.algorithm = algorithm
         self.upstream = tuple(upstream)
         self.leader = leader
         self.radius = radius
         self.shape_count = shape_count
-        self.matching = matching
         self._by_degree = {}
         for rule in self.upstream:
             if rule.degree is not None:
@@ -135,8 +134,7 @@ class RuleSet:
         """Stable human-readable listing, one rule per line."""
         lines = []
         if self.algorithm == "even":
-            lines.append("algorithm=even radius=%d matching=%s"
-                         % (self.radius, self.matching))
+            lines.append("algorithm=even radius=%d" % self.radius)
             for rule in self.upstream:
                 lines.append(
                     "upstream source=%d degree=any trigger=(>=%d on each of "
@@ -144,8 +142,7 @@ class RuleSet:
                     % (rule.source_index, rule.threshold, rule.target))
             lines.append("leader: every port >= 1")
         else:
-            lines.append("algorithm=general shapes=%d matching=%s"
-                         % (self.shape_count, self.matching))
+            lines.append("algorithm=general shapes=%d" % self.shape_count)
             for rule in self.upstream:
                 lines.append(
                     "upstream source=%d degree=%d trigger=%s quota=%d"
@@ -181,7 +178,7 @@ def _check_dominance(rules):
                                a.target, b.target))
 
 
-def compile_even_rules(diameter, matching="at_least"):
+def compile_even_rules(diameter):
     """Rule set for a tree known only by its even diameter 2r.
 
     One upstream rule per i in 1..r: d-1 ports at i+1 or more with the
@@ -198,10 +195,10 @@ def compile_even_rules(diameter, matching="at_least"):
         for i in range(1, r + 1)
     ]
     leader = LeaderRule(degree=None, trigger=None, variant="every_port_once")
-    return RuleSet("even", upstream, leader, radius=r, matching=matching)
+    return RuleSet("even", upstream, leader, radius=r)
 
 
-def compile_general_rules(t, matching="at_least"):
+def compile_general_rules(t):
     """Rule set for a fully known tree that is not edge-symmetric.
 
     One upstream rule per subtree shape except the last: its trigger is
@@ -238,8 +235,7 @@ def compile_general_rules(t, matching="at_least"):
         others = [u for u in t.neighbors[root] if u != layering.co_root]
         trigger = tuple(sorted((idx.quota_of(u) for u in others), reverse=True))
         leader = LeaderRule(degree=d, trigger=trigger, variant="remaining_one")
-    return RuleSet("general", upstream, leader, shape_count=k,
-                   matching=matching)
+    return RuleSet("general", upstream, leader, shape_count=k)
 
 
 class NodeState:
@@ -309,14 +305,13 @@ class NodeState:
             ", halted" if self.halted else "")
 
 
-def match_trigger(received, trigger, remaining_required=0, mode="at_least",
+def match_trigger(received, trigger, remaining_required=0,
                   forced_remaining=None):
     """Find the admissible remaining port for a trigger, if any.
 
-    The d-1 non-remaining ports must cover the trigger entries: in
-    "at_least" mode by sorted-descending componentwise domination, in
-    "exact" mode by multiset equality. The remaining port itself must
-    hold exactly remaining_required pulses in both modes. Ambiguity
+    The d-1 non-remaining ports must cover the trigger entries by
+    sorted-descending componentwise domination. The remaining port
+    itself must hold exactly remaining_required pulses. Ambiguity
     between admissible remaining ports resolves to the lowest index;
     forced_remaining restricts the search to one port.
     """
@@ -333,16 +328,12 @@ def match_trigger(received, trigger, remaining_required=0, mode="at_least",
         if received[p] != remaining_required:
             continue
         rest = sorted((received[q] for q in range(d) if q != p), reverse=True)
-        if mode == "at_least":
-            ok = all(have >= need for have, need in zip(rest, want))
-        else:
-            ok = rest == want
-        if ok:
+        if all(have >= need for have, need in zip(rest, want)):
             return p
     return None
 
 
-def _leader_matches(state, rule, mode):
+def _leader_matches(state, rule):
     d = state.degree
     if rule.variant == "every_port_once":
         return all(c >= 1 for c in state.received)
@@ -351,12 +342,10 @@ def _leader_matches(state, rule, mode):
     if rule.variant == "all_ports":
         have = sorted(state.received, reverse=True)
         want = sorted(rule.trigger, reverse=True)
-        if mode == "at_least":
-            return all(h >= w for h, w in zip(have, want))
-        return have == want
+        return all(h >= w for h, w in zip(have, want))
     # remaining_one
     return match_trigger(state.received, rule.trigger,
-                         remaining_required=1, mode=mode) is not None
+                         remaining_required=1) is not None
 
 
 def _evaluate(state, rules):
@@ -367,8 +356,7 @@ def _evaluate(state, rules):
     is what makes degree-1 nodes send their full quota up front.
     """
     actions = []
-    if state.leader_armed and _leader_matches(state, rules.leader,
-                                              rules.matching):
+    if state.leader_armed and _leader_matches(state, rules.leader):
         for p in range(state.degree):
             actions.append(Send(p, 1, CAT_BROADCAST))
             state.sent[p] += 1
@@ -381,7 +369,7 @@ def _evaluate(state, rules):
     best = None
     for rule in rules.upstream_for_degree(state.degree):
         port = match_trigger(state.received, rule.trigger_for(state.degree),
-                             remaining_required=0, mode=rules.matching,
+                             remaining_required=0,
                              forced_remaining=state.up_port)
         if port is not None and (best is None or rule.target > best[0]):
             best = (rule.target, port)

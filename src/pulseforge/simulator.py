@@ -250,8 +250,7 @@ def _action_brief(act):
     raise TypeError(act)
 
 
-def new_simulation(t, algorithm, ids=None, *, matching="at_least",
-                   record_trace=False):
+def new_simulation(t, algorithm, ids=None, *, record_trace=False):
     """Initialized NetworkState for one algorithm on one tree.
 
     The even algorithm needs an even diameter, the general one an
@@ -263,11 +262,11 @@ def new_simulation(t, algorithm, ids=None, *, matching="at_least",
         if layering.diameter % 2 != 0:
             raise OddDiameterError(
                 "tree has odd diameter %d" % layering.diameter)
-        rules = compile_even_rules(layering.diameter, matching=matching)
+        rules = compile_even_rules(layering.diameter)
         return NetworkState(t, algorithm, rules, None, layering,
                             record_trace)
     if algorithm == "general":
-        rules = compile_general_rules(t, matching=matching)
+        rules = compile_general_rules(t)
         layering = layer_decomposition(t)
         return NetworkState(t, algorithm, rules, None, layering,
                             record_trace)
@@ -515,8 +514,7 @@ class ModelCheckReport:
         }
 
 
-def explore_all_schedules(t, algorithm, ids=None, *, max_states=10 ** 6,
-                          matching="at_least"):
+def explore_all_schedules(t, algorithm, ids=None, *, max_states=10 ** 6):
     """Exhaustively walk every delivery interleaving of one instance.
 
     Depth-first with an explicit stack and a visited set keyed on node
@@ -526,7 +524,7 @@ def explore_all_schedules(t, algorithm, ids=None, *, max_states=10 ** 6,
     send totals. Per-transition bookkeeping feeds the direction and
     quiescence checks. Raises StateCapExceededError beyond max_states.
     """
-    root = new_simulation(t, algorithm, ids, matching=matching)
+    root = new_simulation(t, algorithm, ids)
     layering = root.layering
     seen = {root.key()}
     stack = [root]

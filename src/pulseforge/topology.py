@@ -9,8 +9,6 @@ protocol-visible structure is derived from the shape of the tree alone.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -48,7 +46,7 @@ class TreeTopology:
     text always yields identical port assignments.
     """
 
-    __slots__ = ("n", "neighbors", "_port_of")
+    __slots__ = ("n", "neighbors", "_port_of", "_layering")
 
     def __init__(self, n, edges):
         if n < 1:
@@ -92,6 +90,7 @@ class TreeTopology:
         for v in range(n):
             for p, u in enumerate(self.neighbors[v]):
                 self._port_of[(v, u)] = p
+        self._layering = None  # filled in by layer_decomposition
 
     def degree(self, v):
         return len(self.neighbors[v])
@@ -289,15 +288,17 @@ def _shape_classes(t, layers, layer_of):
     return tuple(class_of), tuple(canon)
 
 
-@lru_cache(maxsize=None)
 def layer_decomposition(t):
     """Decompose t into peeling layers with parent/children maps.
 
     The diameter is 2r when one vertex survives to the last round and
     2r+1 when two do. In the odd case the root is the central vertex
     whose subtree compares greater; ties (edge-symmetric trees) fall
-    back to the lower vertex index with arbitrary_root set.
+    back to the lower vertex index with arbitrary_root set. Computed
+    once per tree and kept on it, so it lives exactly as long as t.
     """
+    if t._layering is not None:
+        return t._layering
     layers, layer_of = _peel(t)
     n = t.n
     r = len(layers) - 1
@@ -337,7 +338,7 @@ def layer_decomposition(t):
     for v in range(n):
         if parent_of[v] is not None:
             children[parent_of[v]].add(v)
-    return Layering(
+    t._layering = Layering(
         layers=layers,
         layer_of=layer_of,
         parent_of=tuple(parent_of),
@@ -350,9 +351,9 @@ def layer_decomposition(t):
         class_of=class_of,
         canon=canon,
     )
+    return t._layering
 
 
-@lru_cache(maxsize=None)
 def enumerate_subtrees(t, layering):
     """Index the distinct rooted subtree shapes of t.
 
@@ -385,41 +386,25 @@ def compare_subtrees(t, layering, a, b):
     return EQUAL
 
 
-def _encode_rooted(t, root, banned=None):
-    """Canonical parenthesis string of the component of root.
-
-    banned, if given, is an edge (x, y) that must not be crossed, which
-    restricts the encoding to one side of that edge. Iterative so deep
-    paths cannot hit the recursion limit.
-    """
-    blocked = set()
-    if banned is not None:
-        x, y = banned
-        blocked = {(x, y), (y, x)}
-    parent = {root: None}
-    order = [root]
-    for v in order:
-        for u in t.neighbors[v]:
-            if u != parent[v] and (v, u) not in blocked:
-                parent[u] = v
-                order.append(u)
-    enc = {}
-    for v in reversed(order):
-        kids = sorted(
-            enc[u] for u in t.neighbors[v]
-            if u != parent[v] and (v, u) not in blocked
-        )
-        enc[v] = "(" + "".join(kids) + ")"
-    return enc[root]
-
-
 def encode_parens(t, root):
     """Canonical balanced-parentheses encoding of t rooted at root.
 
     Child substrings are sorted lexicographically before concatenation,
-    so isomorphic rooted trees encode to the identical string.
+    so isomorphic rooted trees encode to the identical string. Iterative
+    so deep paths cannot hit the recursion limit.
     """
-    return _encode_rooted(t, root)
+    parent = {root: None}
+    order = [root]
+    for v in order:
+        for u in t.neighbors[v]:
+            if u != parent[v]:
+                parent[u] = v
+                order.append(u)
+    enc = {}
+    for v in reversed(order):
+        kids = sorted(enc[u] for u in t.neighbors[v] if u != parent[v])
+        enc[v] = "(" + "".join(kids) + ")"
+    return enc[root]
 
 
 def decode_parens(text):
@@ -457,12 +442,13 @@ def decode_parens(text):
 def is_edge_symmetric(t):
     """Detect whether t is symmetric about some edge.
 
-    For each edge {u, v} in ascending order, the two components left by
-    removing it are canonically encoded from u and v; a string match
-    means an isomorphism mapping u to v exists. The first matching edge
-    is reported as the witness.
+    An automorphism that swaps the two ends of an edge maps the center
+    of t to itself, so that edge can only be the central edge of an
+    odd-diameter tree, and the swap exists exactly when the two central
+    halves have the same shape class. That edge is the witness.
     """
-    for u, v in t.edges():
-        if _encode_rooted(t, u, (u, v)) == _encode_rooted(t, v, (u, v)):
-            return SymmetryReport(True, (u, v))
-    return SymmetryReport(False, None)
+    layering = layer_decomposition(t)
+    if layering.co_root is None or not layering.arbitrary_root:
+        return SymmetryReport(False, None)
+    a, b = layering.root, layering.co_root
+    return SymmetryReport(True, (min(a, b), max(a, b)))

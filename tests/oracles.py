@@ -6,6 +6,7 @@ import itertools
 from functools import cmp_to_key
 
 import networkx as nx
+from networkx.algorithms.isomorphism import rooted_tree_isomorphism
 
 
 def to_nx(t):
@@ -100,6 +101,24 @@ def brute_force_symmetric_about(t, u, v):
 def brute_force_symmetric(t):
     for u, v in t.edges():
         if brute_force_symmetric_about(t, u, v):
+            return (u, v)
+    return None
+
+
+def isomorphic_sides_edge(t):
+    """First edge, in ascending order, whose two sides are isomorphic
+    as trees rooted at its ends, judged by networkx's rooted tree
+    isomorphism; None when there is none. Polynomial, so it reaches
+    sizes the bijection search above cannot."""
+    g = to_nx(t)
+    for u, v in t.edges():
+        g.remove_edge(u, v)
+        side_u = g.subgraph(nx.node_connected_component(g, u))
+        side_v = g.subgraph(nx.node_connected_component(g, v))
+        same = (len(side_u) == len(side_v)
+                and rooted_tree_isomorphism(side_u, u, side_v, v))
+        g.add_edge(u, v)
+        if same:
             return (u, v)
     return None
 

@@ -1,6 +1,13 @@
+import dataclasses
+import importlib
 import json
 
-from pulseforge.harness import cli
+import pulseforge
+import pulseforge.cli
+from pulseforge.cli import cli
+
+# pulseforge.cli names the function; the submodule is reached this way.
+cli_module = importlib.import_module("pulseforge.cli")
 
 
 def run_cli(capsys, *argv):
@@ -57,6 +64,34 @@ def test_run_writes_trace_jsonl(tmp_path, capsys):
     first = json.loads(lines[0])
     assert set(first) == {"step", "edge", "receiver_state_digest",
                           "actions", "in_flight_total"}
+
+
+def test_package_cli_stays_the_function_after_submodule_import():
+    assert callable(pulseforge.cli)
+    assert pulseforge.cli is cli
+
+
+def test_run_stabilizing_default_budget_follows_ids(capsys):
+    code, out, err = run_cli(capsys, "run", "--tree", "path2", "--alg",
+                             "stabilizing", "--ids", "1000,2000")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["status"] == "stabilized"
+    assert doc["leader"] == 0 and doc["total_pulses"] == 3002
+
+
+def test_mc_failure_exits_1_and_names_the_check(capsys, monkeypatch):
+    real = cli_module.explore_all_schedules
+
+    def doctored(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs),
+                                   nonquiescent_declarations=1)
+
+    monkeypatch.setattr(cli_module, "explore_all_schedules", doctored)
+    code, out, err = run_cli(capsys, "mc", "--tree", "c5", "--alg", "general")
+    assert code == 1
+    assert err == ("check failed: nonquiescent_declarations "
+                   "(expected 0, observed 1)\n")
 
 
 def test_run_stabilizing_requires_ids(capsys):
@@ -128,6 +163,14 @@ def test_sweep_csv_to_file(tmp_path, capsys):
     assert lines[0] == "# pulseforge sweep schema v1"
     assert len(lines) == 2 + 3 * 4
     assert all(",true," in line for line in lines[2:])
+
+
+def test_sweep_failure_names_row_and_check(capsys):
+    code, _, err = run_cli(capsys, "sweep", "--gen", "path", "--n", "5",
+                           "--alg", "even", "--seeds", "1", "--budget", "3")
+    assert code == 1
+    assert ("check failed: path(n=5) seed 0: completed "
+            "(expected terminated, observed budget_exhausted)") in err
 
 
 def test_sweep_json_reproducible(capsys):

@@ -1,10 +1,14 @@
 import copy
+import dataclasses
+import gc
 import io
 import random
+import weakref
 
 import pytest
 
 import oracles
+from pulseforge import harness
 from pulseforge.harness import (
     GenerationError,
     GeneratorSpec,
@@ -22,11 +26,21 @@ from pulseforge.harness import (
     star_tree,
     stabilizing_pair_total,
     sweep,
+    verify_model_check,
     verify_outcome,
 )
 from pulseforge.protocol import OddDiameterError, SymmetricTreeError
-from pulseforge.simulator import SeededRandom, new_simulation, run
-from pulseforge.topology import is_edge_symmetric, layer_decomposition
+from pulseforge.simulator import (
+    SeededRandom,
+    explore_all_schedules,
+    new_simulation,
+    run,
+)
+from pulseforge.topology import (
+    TreeTopology,
+    is_edge_symmetric,
+    layer_decomposition,
+)
 
 
 def test_structured_generators():
@@ -141,6 +155,55 @@ def test_verify_outcome_flags_budget_exhaustion():
     assert not report["ok"]
     failed = {c["name"] for c in report["checks"] if not c["ok"]}
     assert "completed" in failed
+
+
+def test_verify_model_check_passes_real_reports():
+    for name, alg, ids in (("path5", "even", None), ("c5", "general", None),
+                           ("path4", "stabilizing", [4, 1, 3, 2])):
+        t = resolve_tree(name)
+        report = explore_all_schedules(t, alg, ids)
+        verdict = verify_model_check(report, t, ids)
+        assert verdict["ok"], verdict
+
+
+def _failed_mc_checks(report, t):
+    verdict = verify_model_check(report, t)
+    assert not verdict["ok"]
+    return {c["name"] for c in verdict["checks"] if not c["ok"]}
+
+
+def test_verify_model_check_names_each_doctored_failure():
+    t = resolve_tree("c5")
+    report = explore_all_schedules(t, "general")
+    (cls,) = report.terminal_classes
+    other = dataclasses.replace(cls, per_edge_sent=cls.per_edge_sent[::-1])
+    two_classes = dataclasses.replace(
+        report, terminal_classes=[cls, other], confluent=False)
+    assert _failed_mc_checks(two_classes, t) == {"confluent"}
+    wrong_total = dataclasses.replace(
+        report, terminal_classes=[dataclasses.replace(cls, total_pulses=12)])
+    assert _failed_mc_checks(wrong_total, t) == {"exact_total"}
+    loud = dataclasses.replace(report, nonquiescent_declarations=1)
+    assert _failed_mc_checks(loud, t) == {"nonquiescent_declarations"}
+
+
+def test_sweep_releases_its_trees(monkeypatch):
+    refs = []
+    real_generate = harness.generate
+
+    def tracked(spec):
+        # A subclass without __slots__ accepts weak references.
+        t = real_generate(spec)
+        t = type("Tracked", (TreeTopology,), {})(t.n, t.edges())
+        refs.append(weakref.ref(t))
+        return t
+
+    monkeypatch.setattr(harness, "generate", tracked)
+    report = sweep([GeneratorSpec("random-asymmetric", n=7)], "general",
+                   seeds=range(5))
+    assert report.passed and len(refs) == 5
+    gc.collect()
+    assert all(ref() is None for ref in refs)
 
 
 def test_sweep_rows_reproducible_and_sorted():

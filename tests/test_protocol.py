@@ -114,11 +114,6 @@ def test_match_trigger_picks_lowest_port_on_ties():
     assert match_trigger([2, 2], (2,), 2) == 0
 
 
-def test_match_trigger_exact_mode():
-    assert match_trigger([3, 2, 0], (2, 2), 0, mode="exact") is None
-    assert match_trigger([2, 2, 0], (2, 2), 0, mode="exact") == 2
-
-
 def test_match_trigger_respects_forced_remaining():
     assert match_trigger([0, 2], (2,), 0, forced_remaining=0) == 0
     assert match_trigger([2, 0], (2,), 0, forced_remaining=0) is None

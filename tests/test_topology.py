@@ -256,6 +256,26 @@ def test_mirrored_trees_are_symmetric():
         assert oracles.brute_force_symmetric_about(t, *rep.witness_edge)
 
 
+def test_is_edge_symmetric_matches_networkx_oracle_on_large_trees():
+    # The bijection oracle stops at n = 8; these reach n = 60. A mirrored
+    # tree with one extra leaf is a near miss that must read asymmetric.
+    rng = random.Random(2024)
+    trees = []
+    for i in range(30):
+        trees.append(random_tree(rng.randint(40, 60), seed=i))
+        mirror = mirrored_tree(rng.randint(20, 30), seed=i)
+        trees.append(mirror)
+        edges = mirror.edges() + [(rng.randrange(mirror.n), mirror.n)]
+        trees.append(TreeTopology(mirror.n + 1, edges))
+    symmetric = 0
+    for t in trees:
+        rep = is_edge_symmetric(t)
+        assert rep.witness_edge == oracles.isomorphic_sides_edge(t), t
+        assert rep.symmetric == (rep.witness_edge is not None)
+        symmetric += rep.symmetric
+    assert symmetric >= 30
+
+
 def test_symmetric_implies_odd_diameter():
     for i in range(25):
         t = mirrored_tree(random.Random(50 + i).randint(1, 6), seed=50 + i)
