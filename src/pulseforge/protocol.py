@@ -117,18 +117,24 @@ class RuleSet:
         self.radius = radius
         self.shape_count = shape_count
         self._by_degree = {}
-        for rule in self.upstream:
-            if rule.degree is not None:
-                self._by_degree.setdefault(rule.degree, []).append(rule)
 
-    def upstream_for_degree(self, d):
-        if self.algorithm == "even":
-            return [
-                UpstreamRule(d, (rule.threshold,) * (d - 1), None,
-                             rule.target, rule.source_index)
-                for rule in self.upstream
-            ]
-        return self._by_degree.get(d, [])
+    def triggers_for_degree(self, d):
+        """(target, trigger) of every upstream rule a degree-d node obeys.
+
+        Triggers are sorted descending and the pairs come in order of
+        falling target. Filled in once per degree: the even algorithm's
+        threshold rules fit any degree, so its degrees are not known
+        when the rules are compiled.
+        """
+        found = self._by_degree.get(d)
+        if found is None:
+            found = tuple(sorted(
+                ((rule.target,
+                  tuple(sorted(rule.trigger_for(d), reverse=True)))
+                 for rule in self.upstream if rule.degree in (None, d)),
+                reverse=True))
+            self._by_degree[d] = found
+        return found
 
     def describe(self):
         """Stable human-readable listing, one rule per line."""
@@ -246,11 +252,15 @@ class NodeState:
     leader rule is armed. Stabilizing nodes additionally hold their ID,
     the set of live ports, the leaf flag, and the election counters.
     Output is latched: once it leaves "undecided" it never changes.
+
+    A state is changed only between its copy() and the first key() of
+    the copy: network states share node states, and key() is computed
+    once per object.
     """
 
     __slots__ = ("degree", "received", "sent", "up_port",
                  "downstream_active", "leader_armed", "output", "halted",
-                 "node_id", "is_leaf", "live", "needed", "got")
+                 "node_id", "is_leaf", "live", "needed", "got", "_key")
 
     def __init__(self, degree, node_id=None):
         self.degree = degree
@@ -266,6 +276,7 @@ class NodeState:
         self.live = None
         self.needed = None
         self.got = None
+        self._key = None
 
     def copy(self):
         c = NodeState.__new__(NodeState)
@@ -282,16 +293,19 @@ class NodeState:
         c.live = None if self.live is None else set(self.live)
         c.needed = self.needed
         c.got = self.got
+        c._key = None
         return c
 
     def key(self):
-        return (
-            tuple(self.received), tuple(self.sent), self.up_port,
-            self.downstream_active, self.leader_armed, self.output,
-            self.halted, self.is_leaf,
-            None if self.live is None else tuple(sorted(self.live)),
-            self.needed, self.got,
-        )
+        if self._key is None:
+            self._key = (
+                tuple(self.received), tuple(self.sent), self.up_port,
+                self.downstream_active, self.leader_armed, self.output,
+                self.halted, self.is_leaf,
+                None if self.live is None else tuple(sorted(self.live)),
+                self.needed, self.got,
+            )
+        return self._key
 
     def _set_output(self, output):
         if self.output != UNDECIDED and self.output != output:
@@ -303,6 +317,31 @@ class NodeState:
         return "NodeState(d=%d, recv=%r, sent=%r, out=%s%s)" % (
             self.degree, self.received, self.sent, self.output,
             ", halted" if self.halted else "")
+
+
+def _split_remaining(received, required, forced=None):
+    """The remaining port and the other ports' counts, sorted descending.
+
+    The remaining port must hold exactly `required` pulses; forced
+    restricts it to one port. Every admissible port holds the same
+    count, so the other ports form the same multiset whichever one is
+    chosen, and the lowest admissible index decides. None when no port
+    is admissible.
+    """
+    if forced is None:
+        if required not in received:
+            return None
+        port = received.index(required)
+    elif received[forced] != required:
+        return None
+    else:
+        port = forced
+    return port, sorted(received[:port] + received[port + 1:], reverse=True)
+
+
+def _dominates(have, want):
+    """Componentwise have >= want, both sorted descending."""
+    return all(h >= w for h, w in zip(have, want))
 
 
 def match_trigger(received, trigger, remaining_required=0,
@@ -319,18 +358,11 @@ def match_trigger(received, trigger, remaining_required=0,
     if len(trigger) != d - 1:
         raise ValueError("trigger length %d does not fit degree %d"
                          % (len(trigger), d))
-    want = sorted(trigger, reverse=True)
-    if forced_remaining is not None:
-        candidates = (forced_remaining,)
-    else:
-        candidates = range(d)
-    for p in candidates:
-        if received[p] != remaining_required:
-            continue
-        rest = sorted((received[q] for q in range(d) if q != p), reverse=True)
-        if all(have >= need for have, need in zip(rest, want)):
-            return p
-    return None
+    found = _split_remaining(received, remaining_required, forced_remaining)
+    if found is None:
+        return None
+    port, rest = found
+    return port if _dominates(rest, sorted(trigger, reverse=True)) else None
 
 
 def _leader_matches(state, rule):
@@ -340,9 +372,8 @@ def _leader_matches(state, rule):
     if rule.degree != d:
         return False
     if rule.variant == "all_ports":
-        have = sorted(state.received, reverse=True)
-        want = sorted(rule.trigger, reverse=True)
-        return all(h >= w for h, w in zip(have, want))
+        return _dominates(sorted(state.received, reverse=True),
+                          sorted(rule.trigger, reverse=True))
     # remaining_one
     return match_trigger(state.received, rule.trigger,
                          remaining_required=1) is not None
@@ -366,23 +397,28 @@ def _evaluate(state, rules):
         state.leader_armed = False
         actions.append(Halt())
         return actions
-    best = None
-    for rule in rules.upstream_for_degree(state.degree):
-        port = match_trigger(state.received, rule.trigger_for(state.degree),
-                             remaining_required=0,
-                             forced_remaining=state.up_port)
-        if port is not None and (best is None or rule.target > best[0]):
-            best = (rule.target, port)
-    if best is not None:
-        target, port = best
-        if state.up_port is None:
-            state.up_port = port
-        state.downstream_active = True
-        state.leader_armed = False
-        shortfall = target - state.sent[state.up_port]
-        if shortfall > 0:
-            state.sent[state.up_port] += shortfall
-            actions.append(Send(state.up_port, shortfall, CAT_UPSTREAM))
+    found = _split_remaining(state.received, 0, state.up_port)
+    if found is None:
+        return actions
+    port, rest = found
+    # Targets are distinct and come falling, so the first trigger that
+    # rest dominates carries the largest quota; a trigger whose largest
+    # entry exceeds rest's largest cannot be dominated.
+    for target, want in rules.triggers_for_degree(state.degree):
+        if want and want[0] > rest[0]:
+            continue
+        if _dominates(rest, want):
+            break
+    else:
+        return actions
+    if state.up_port is None:
+        state.up_port = port
+    state.downstream_active = True
+    state.leader_armed = False
+    shortfall = target - state.sent[port]
+    if shortfall > 0:
+        state.sent[port] += shortfall
+        actions.append(Send(port, shortfall, CAT_UPSTREAM))
     return actions
 
 

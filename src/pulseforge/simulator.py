@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 
 from . import protocol
@@ -69,13 +70,21 @@ class NetworkState:
     Directed edge i runs from src[i] to dst[i]; the outgoing edges of
     vertex v occupy the contiguous index block starting at offset[v],
     in port order, so port p of v is edge offset[v] + p.
+
+    Besides the counters, a state keeps what the run loop asks about on
+    every delivery, updated as pulses move: `enabled`, the ascending
+    indices of the nonempty directed edges; `in_flight_total`;
+    `halted_count`; and `leaders`, the ascending vertices that declared
+    LEADER. check_conservation() compares them with a full scan.
+    Node states are shared between clones and never changed in place.
     """
 
     __slots__ = ("topology", "algorithm", "rules", "ids", "layering",
                  "node_states", "in_flight", "sent_edges", "delivered_edges",
                  "sent_by_category", "deliveries", "deliveries_to_halted",
                  "steps", "leader_step", "in_flight_at_leader", "violation",
-                 "trace", "offset", "dir_edges")
+                 "trace", "offset", "dir_edges", "enabled", "in_flight_total",
+                 "halted_count", "leaders")
 
     def __init__(self, topology, algorithm, rules, ids, layering,
                  record_trace=False):
@@ -103,6 +112,8 @@ class NetworkState:
         self.in_flight_at_leader = None
         self.violation = None
         self.trace = [] if record_trace else None
+        self.enabled = []
+        self.in_flight_total = 0
         for v in range(topology.n):
             if algorithm == "stabilizing":
                 state = protocol.stabilizing_state(topology.degree(v), ids[v])
@@ -110,7 +121,11 @@ class NetworkState:
             else:
                 state, actions = protocol.init_node(topology.degree(v), rules)
             self.node_states.append(state)
-            self._apply_sends(v, actions)
+            if actions:
+                self._apply_sends(v, actions)
+        self.halted_count = [s.halted for s in self.node_states].count(True)
+        self.leaders = [v for v, s in enumerate(self.node_states)
+                        if s.output == LEADER]
 
     def clone(self):
         c = NetworkState.__new__(NetworkState)
@@ -121,7 +136,7 @@ class NetworkState:
         c.layering = self.layering
         c.offset = self.offset
         c.dir_edges = self.dir_edges
-        c.node_states = [s.copy() for s in self.node_states]
+        c.node_states = list(self.node_states)
         c.in_flight = list(self.in_flight)
         c.sent_edges = list(self.sent_edges)
         c.delivered_edges = list(self.delivered_edges)
@@ -133,6 +148,10 @@ class NetworkState:
         c.in_flight_at_leader = self.in_flight_at_leader
         c.violation = self.violation
         c.trace = None if self.trace is None else list(self.trace)
+        c.enabled = list(self.enabled)
+        c.in_flight_total = self.in_flight_total
+        c.halted_count = self.halted_count
+        c.leaders = list(self.leaders)
         return c
 
     def key(self):
@@ -143,25 +162,23 @@ class NetworkState:
         return self.offset[u] + self.topology.port_to(u, v)
 
     def enabled_edges(self):
-        return [i for i, c in enumerate(self.in_flight) if c > 0]
+        """The live ascending list of nonempty edges; do not mutate it."""
+        return self.enabled
 
     def total_in_flight(self):
-        return sum(self.in_flight)
+        return self.in_flight_total
 
     def total_pulses(self):
         return sum(self.sent_edges)
 
     def leader_vertex(self):
-        for v, s in enumerate(self.node_states):
-            if s.output == LEADER:
-                return v
-        return None
+        return self.leaders[0] if self.leaders else None
 
     def leader_count(self):
-        return sum(1 for s in self.node_states if s.output == LEADER)
+        return len(self.leaders)
 
     def all_halted(self):
-        return all(s.halted for s in self.node_states)
+        return self.halted_count == len(self.node_states)
 
     def outputs(self):
         return tuple(s.output for s in self.node_states)
@@ -172,16 +189,34 @@ class NetworkState:
                      if s.needed is not None and not s.halted)
 
     def check_conservation(self):
+        """Check pulse conservation per edge, and the incrementally kept
+        fields against a full scan of the counters and node states."""
         for i in range(len(self.in_flight)):
             if self.sent_edges[i] != self.delivered_edges[i] + self.in_flight[i]:
                 raise AssertionError("conservation broken on edge %r"
                                      % (self.dir_edges[i],))
+        for name, want in zip(("enabled", "in_flight_total", "halted_count",
+                               "leaders"), self._scan()):
+            if getattr(self, name) != want:
+                raise AssertionError("%s is %r, a scan gives %r"
+                                     % (name, getattr(self, name), want))
+
+    def _scan(self):
+        """enabled, in_flight_total, halted_count and leaders, recounted."""
+        return ([i for i, c in enumerate(self.in_flight) if c > 0],
+                sum(self.in_flight),
+                [s.halted for s in self.node_states].count(True),
+                [v for v, s in enumerate(self.node_states)
+                 if s.output == LEADER])
 
     def _apply_sends(self, sender, actions):
         for act in actions:
             if isinstance(act, Send):
                 ei = self.offset[sender] + act.port
+                if not self.in_flight[ei]:
+                    insort(self.enabled, ei)
                 self.in_flight[ei] += act.count
+                self.in_flight_total += act.count
                 self.sent_edges[ei] += act.count
                 self.sent_by_category[act.category] += act.count
 
@@ -192,6 +227,9 @@ class NetworkState:
                                        % (self.dir_edges[ei],))
         u, v = self.dir_edges[ei]
         self.in_flight[ei] -= 1
+        self.in_flight_total -= 1
+        if not self.in_flight[ei]:
+            del self.enabled[bisect_left(self.enabled, ei)]
         self.delivered_edges[ei] += 1
         self.deliveries += 1
         self.steps += 1
@@ -216,12 +254,15 @@ class NetworkState:
                 new_state, actions = protocol.on_deliver(
                     receiver, self.rules, port)
             self.node_states[v] = new_state
+            if new_state.halted:
+                self.halted_count += 1
             if any(isinstance(a, Declare) and a.output == LEADER
                    for a in actions):
+                insort(self.leaders, v)
                 # Snapshot before the leader's own broadcast goes out:
                 # this is the count the quiescence claim is about.
                 self.leader_step = self.steps
-                self.in_flight_at_leader = self.total_in_flight()
+                self.in_flight_at_leader = self.in_flight_total
                 info["declared_leader"] = True
                 info["in_flight_at_declare"] = self.in_flight_at_leader
             self._apply_sends(v, actions)
@@ -231,7 +272,7 @@ class NetworkState:
                 "edge": [u, v],
                 "receiver_state_digest": _digest(self.node_states[v]),
                 "actions": [_action_brief(a) for a in actions],
-                "in_flight_total": self.total_in_flight(),
+                "in_flight_total": self.in_flight_total,
             })
         return info
 
@@ -307,13 +348,11 @@ class RoundRobin:
         self._cursor = -1
 
     def pick(self, state, enabled):
-        m = len(state.in_flight)
-        for i in range(1, m + 1):
-            idx = (self._cursor + i) % m
-            if state.in_flight[idx] > 0:
-                self._cursor = idx
-                return idx
-        raise NoPulseInFlightError("nothing in flight")
+        if not enabled:
+            raise NoPulseInFlightError("nothing in flight")
+        at = bisect_right(enabled, self._cursor)
+        self._cursor = enabled[at] if at < len(enabled) else enabled[0]
+        return self._cursor
 
 
 class AdversaryScript:
@@ -387,15 +426,13 @@ def _is_stabilized(state):
     never accumulate enough: such deliveries are absorbed or merely
     bump a counter that stays short of its target forever.
     """
-    if state.leader_vertex() is None:
+    if not state.leaders:
         return False
-    incoming = [0] * state.topology.n
-    for i, c in enumerate(state.in_flight):
-        if c > 0:
-            incoming[state.dir_edges[i][1]] += c
-    for v, total in enumerate(incoming):
-        if total == 0:
-            continue
+    incoming = {}
+    for i in state.enabled:
+        v = state.dir_edges[i][1]
+        incoming[v] = incoming.get(v, 0) + state.in_flight[i]
+    for v, total in incoming.items():
         s = state.node_states[v]
         if s.halted:
             continue
@@ -418,18 +455,19 @@ def run(state, scheduler, budget):
     if budget < 1:
         raise ValueError("budget must be at least 1")
     state = state.clone()
+    stabilizing = state.algorithm == "stabilizing"
+    enabled = state.enabled
     status = None
     while True:
-        if state.all_halted() and state.total_in_flight() == 0:
+        if state.all_halted() and state.in_flight_total == 0:
             status = "terminated"
             break
-        if state.algorithm == "stabilizing" and _is_stabilized(state):
+        if stabilizing and _is_stabilized(state):
             status = "stabilized"
             break
         if state.deliveries >= budget:
             status = "budget_exhausted"
             break
-        enabled = state.enabled_edges()
         if not enabled:
             # Live nodes but nothing to deliver: no rule set compiled by
             # this package reaches here, but a scripted misuse might.

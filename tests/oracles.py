@@ -155,3 +155,34 @@ def nonisomorphic_trees(n):
     if n == 2:
         return [[(0, 1)]]
     return [list(g.edges()) for g in nx.nonisomorphic_trees(n)]
+
+
+def brute_force_match_trigger(received, trigger, remaining_required=0,
+                              forced_remaining=None):
+    """The remaining port a trigger admits, tried port by port: the
+    lowest port holding exactly remaining_required pulses (or only the
+    forced one) whose d-1 other ports, sorted descending, cover the
+    trigger sorted descending entry by entry; None if no port does."""
+    d = len(received)
+    want = sorted(trigger, reverse=True)
+    candidates = range(d) if forced_remaining is None else (forced_remaining,)
+    for p in candidates:
+        if received[p] != remaining_required:
+            continue
+        rest = sorted((received[q] for q in range(d) if q != p), reverse=True)
+        if all(have >= need for have, need in zip(rest, want)):
+            return p
+    return None
+
+
+def brute_force_upstream(received, rules, up_port):
+    """(quota, remaining port) of the upstream rule with the largest
+    quota among those whose trigger matches with a silent remaining
+    port, up_port when one is committed; None if none matches. rules
+    holds (quota, trigger) pairs in any order."""
+    best = None
+    for quota, trigger in rules:
+        port = brute_force_match_trigger(received, trigger, 0, up_port)
+        if port is not None and (best is None or quota > best[0]):
+            best = (quota, port)
+    return best

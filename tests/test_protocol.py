@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
+from pulseforge.harness import random_asymmetric_tree
 from pulseforge.protocol import (
     CAT_BROADCAST,
     CAT_ELECTION,
@@ -10,12 +13,14 @@ from pulseforge.protocol import (
     UNDECIDED,
     Declare,
     Halt,
+    NodeState,
     OddDiameterError,
     RuleConsistencyError,
     Send,
     SymmetricTreeError,
     UpstreamRule,
     _check_dominance,
+    _evaluate,
     compile_even_rules,
     compile_general_rules,
     init_node,
@@ -117,6 +122,64 @@ def test_match_trigger_picks_lowest_port_on_ties():
 def test_match_trigger_respects_forced_remaining():
     assert match_trigger([0, 2], (2,), 0, forced_remaining=0) == 0
     assert match_trigger([2, 0], (2,), 0, forced_remaining=0) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_match_trigger_matches_brute_force(data):
+    d = data.draw(st.integers(1, 7))
+    counts = st.integers(0, 4)
+    received = data.draw(st.lists(counts, min_size=d, max_size=d))
+    trigger = tuple(data.draw(st.lists(counts, min_size=d - 1,
+                                       max_size=d - 1)))
+    required = data.draw(st.integers(0, 2))
+    forced = data.draw(st.none() | st.integers(0, d - 1))
+    assert match_trigger(received, trigger, required, forced) == \
+        oracles.brute_force_match_trigger(received, trigger, required, forced)
+
+
+UPSTREAM_RULE_SETS = (
+    [compile_even_rules(2 * r) for r in (1, 2, 4)]
+    + [compile_general_rules(random_asymmetric_tree(n, seed))
+       for n, seed in ((12, 1), (25, 2), (40, 3))])
+
+
+def _quota_triggers(rules, d):
+    return [(r.target,
+             (r.threshold,) * (d - 1) if r.degree is None else r.trigger)
+            for r in rules.upstream if r.degree in (None, d)]
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.data())
+def test_upstream_choice_matches_brute_force(data):
+    rules = data.draw(st.sampled_from(UPSTREAM_RULE_SETS))
+    if rules.algorithm == "even":
+        d = data.draw(st.integers(1, 6))
+    else:
+        d = data.draw(st.sampled_from(sorted({r.degree
+                                              for r in rules.upstream})))
+    pairs = _quota_triggers(rules, d)
+    # Counts near trigger entries, so that some rules match and some
+    # just miss.
+    near = sorted({0} | {x + e for _, trig in pairs for x in trig
+                         for e in (-1, 0, 1) if x + e >= 0})
+    received = data.draw(st.lists(st.sampled_from(near), min_size=d,
+                                  max_size=d))
+    up_port = data.draw(st.none() | st.integers(0, d - 1))
+    state = NodeState(d)
+    state.received = list(received)
+    state.up_port = up_port
+    state.leader_armed = False
+    actions = _evaluate(state, rules)
+    best = oracles.brute_force_upstream(received, pairs, up_port)
+    if best is None:
+        assert actions == []
+        assert state.up_port == up_port
+    else:
+        quota, port = best
+        assert state.up_port == port
+        assert actions == [Send(port, quota, CAT_UPSTREAM)]
 
 
 def test_init_leaf_sends_radius_even():
@@ -286,6 +349,15 @@ def test_on_deliver_does_not_mutate_input():
     frozen = state.key()
     on_deliver(state, rules, 0)
     assert state.key() == frozen
+
+
+def test_key_is_kept_per_object_and_reset_by_copy():
+    state, _ = init_node(2, compile_even_rules(2))
+    assert state.key() is state.key()
+    other = state.copy()
+    other.received[0] += 1
+    assert other.key() != state.key()
+    assert other.key()[0] == (1, 0)
 
 
 def test_describe_is_stable():

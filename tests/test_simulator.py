@@ -1,8 +1,11 @@
+import copy
+import hashlib
 import json
+import random
 
 import pytest
 
-from pulseforge.protocol import LEADER, NONLEADER
+from pulseforge.protocol import LEADER, NONLEADER, NodeState
 from pulseforge.simulator import (
     AdversaryScript,
     DuplicateIdsError,
@@ -16,8 +19,12 @@ from pulseforge.simulator import (
     run,
     step,
 )
-from pulseforge.topology import TreeTopology
-from pulseforge.harness import random_tree
+from pulseforge.topology import TreeTopology, layer_decomposition
+from pulseforge.harness import (
+    random_asymmetric_tree,
+    random_tree,
+    resolve_tree,
+)
 
 
 def c5():
@@ -292,3 +299,197 @@ def test_stabilizing_outputs_latch_once_a_leader_exists():
     while s.enabled_edges():
         s = step(s, s.dir_edges[drain.pick(s, s.enabled_edges())])
         assert s.outputs() == frozen
+
+
+def _ids(n, seed):
+    ids = list(range(1, n + 1))
+    random.Random(seed).shuffle(ids)
+    return ids
+
+
+def _bookkeeping_instances():
+    """Twenty small trees for each algorithm, with IDs for stabilizing."""
+    even = []
+    seed = 0
+    while len(even) < 20:
+        t = random_tree(5 + seed % 16, seed)
+        if layer_decomposition(t).diameter % 2 == 0:
+            even.append((t, "even", None))
+        seed += 1
+    general = [(random_asymmetric_tree(6 + k % 14, k), "general", None)
+               for k in range(20)]
+    stabilizing = []
+    for k in range(20):
+        t = random_tree(3 + k % 16, 100 + k)
+        stabilizing.append((t, "stabilizing", _ids(t.n, k)))
+    return even + general + stabilizing
+
+
+def test_kept_fields_match_a_scan_after_every_step():
+    for k, (t, algorithm, ids) in enumerate(_bookkeeping_instances()):
+        s = new_simulation(t, algorithm, ids)
+        s.check_conservation()
+        sched = SeededRandom(k)
+        while s.enabled_edges():
+            s = step(s, s.dir_edges[sched.pick(s, s.enabled_edges())])
+            s.check_conservation()
+        assert s.leader_count() == 1
+
+
+def test_check_conservation_catches_stale_fields():
+    s = new_simulation(c5(), "general")
+    for name, value in (("enabled", []), ("in_flight_total", 0),
+                        ("halted_count", 3), ("leaders", [0])):
+        broken = s.clone()
+        setattr(broken, name, value)
+        with pytest.raises(AssertionError, match=name):
+            broken.check_conservation()
+
+
+class ModularScan:
+    """Reference round robin: scan every directed edge cyclically from
+    the one after the cursor, including the cursor itself last."""
+
+    def __init__(self):
+        self.cursor = -1
+
+    def pick(self, state):
+        m = len(state.in_flight)
+        for i in range(1, m + 1):
+            idx = (self.cursor + i) % m
+            if state.in_flight[idx] > 0:
+                self.cursor = idx
+                return idx
+        return None
+
+
+class CheckedRoundRobin(RoundRobin):
+    def __init__(self):
+        super().__init__()
+        self.reference = ModularScan()
+        self.picks = 0
+
+    def pick(self, state, enabled):
+        want = self.reference.pick(state)
+        got = super().pick(state, enabled)
+        assert got == want
+        self.picks += 1
+        return got
+
+
+def test_round_robin_matches_modular_scan_over_full_runs():
+    cases = [(c5(), "general", None), (binary(3), "even", None),
+             (path(9), "even", None), (TreeTopology(1, []), "even", None),
+             (random_asymmetric_tree(14, 5), "general", None),
+             (path(8), "stabilizing", [8, 1, 7, 2, 6, 3, 5, 4]),
+             (random_tree(12, 3), "stabilizing", _ids(12, 3))]
+    for t, algorithm, ids in cases:
+        sched = CheckedRoundRobin()
+        outcome = run(new_simulation(t, algorithm, ids), sched, 10 ** 5)
+        assert outcome.status in ("terminated", "stabilized")
+        assert sched.picks == outcome.deliveries
+
+
+def test_round_robin_wraps_and_rejects_empty():
+    s = new_simulation(path(3), "even")
+    rr = RoundRobin()
+    enabled = s.enabled_edges()
+    assert [rr.pick(s, enabled) for _ in range(3)] == \
+        [enabled[0], enabled[1], enabled[0]]
+    with pytest.raises(NoPulseInFlightError):
+        rr.pick(s, [])
+
+
+def _golden_tree(name):
+    if name.startswith("asym"):
+        return random_asymmetric_tree(int(name[4:]), 1)
+    if name.startswith("rand"):
+        return random_tree(int(name[4:]), 2)
+    return resolve_tree(name)
+
+
+# (tree, algorithm, SeededRandom seed) -> (deliveries, leader_step,
+# in_flight_at_leader, total_pulses, pulses_by_category, leader) and a
+# digest of the delivered edge sequence. Stabilizing IDs are the seeded
+# permutation _ids(n, seed). A change that moves SeededRandom's picks
+# moves these.
+GOLDEN = [
+    ("path7", "even", 1, (18, 12, 0, 18, (12, 6, 0, 0), 3),
+     "0d17ffa8f6e06898"),
+    ("binary3", "even", 2, (48, 34, 0, 48, (34, 14, 0, 0), 0),
+     "7ddea077124cd7fe"),
+    ("star6", "even", 3, (10, 5, 0, 10, (5, 5, 0, 0), 0),
+     "333b2ced4afef335"),
+    ("binary4", "even", 40, (128, 98, 0, 128, (98, 30, 0, 0), 0),
+     "0ab36a39da2bafa7"),
+    ("c5", "general", 0, (11, 7, 0, 11, (7, 4, 0, 0), 2),
+     "413dacf8d66d24fe"),
+    ("binary2", "general", 4, (16, 10, 0, 16, (10, 6, 0, 0), 0),
+     "9c93e18ee00c84af"),
+    ("asym12", "general", 3, (45, 34, 0, 45, (34, 11, 0, 0), 7),
+     "b4962598b3a02697"),
+    ("asym30", "general", 5, (300, 271, 0, 300, (271, 29, 0, 0), 24),
+     "1be1d24a6dd44cdd"),
+    ("path5", "stabilizing", 6, (9, 9, 1, 10, (0, 0, 5, 5), 2),
+     "e11f45f5898a602b"),
+    ("star7", "stabilizing", 9, (9, 9, 5, 14, (0, 0, 7, 7), 0),
+     "9e17a515a0437cfc"),
+    ("binary2", "stabilizing", 11, (11, 11, 1, 12, (0, 0, 7, 5), 0),
+     "0dd2190fe9c40114"),
+    ("rand14", "stabilizing", 8, (17, 17, 7, 24, (0, 0, 14, 10), 10),
+     "9570d458b17fbada"),
+]
+
+
+@pytest.mark.parametrize("name,algorithm,seed,want,edges_digest", GOLDEN)
+def test_seeded_schedules_are_pinned(name, algorithm, seed, want,
+                                     edges_digest):
+    t = _golden_tree(name)
+    ids = _ids(t.n, seed) if algorithm == "stabilizing" else None
+    o = run(new_simulation(t, algorithm, ids, record_trace=True),
+            SeededRandom(seed), 10 ** 6)
+    by_category = tuple(o.pulses_by_category[c]
+                        for c in ("upstream", "broadcast", "leaf", "election"))
+    assert (o.deliveries, o.leader_step, o.in_flight_at_leader,
+            o.total_pulses, by_category, o.leader) == want
+    edges = json.dumps([e["edge"] for e in o.trace]).encode()
+    assert hashlib.sha256(edges).hexdigest()[:16] == edges_digest
+
+
+def _snapshot(state):
+    """The state's key, and every node state it holds with all its
+    fields read directly, not through the memoised key."""
+    fields = [slot for slot in NodeState.__slots__ if slot != "_key"]
+    return (state.key(),
+            [(ns, {f: copy.deepcopy(getattr(ns, f)) for f in fields})
+             for ns in state.node_states])
+
+
+def _assert_unchanged(state, snap):
+    key, nodes = snap
+    assert state.key() == key
+    assert len(state.node_states) == len(nodes)
+    for ns, (held, fields) in zip(state.node_states, nodes):
+        assert ns is held
+        assert {f: getattr(ns, f) for f in fields} == fields
+
+
+@pytest.mark.parametrize("t,algorithm,ids", [
+    (c5(), "general", None),
+    (binary(2), "even", None),
+    (path(4), "stabilizing", [2, 4, 1, 3]),
+])
+def test_run_step_and_explore_leave_caller_state_unchanged(t, algorithm,
+                                                           ids):
+    s = new_simulation(t, algorithm, ids)
+    snap = _snapshot(s)
+    run(s, SeededRandom(3), 10 ** 4)
+    _assert_unchanged(s, snap)
+    for ei in list(s.enabled_edges()):
+        nxt = step(s, s.dir_edges[ei])
+        _assert_unchanged(s, snap)
+        # A later state built on the shared node states leaves them be.
+        run(nxt, RoundRobin(), 10 ** 4)
+        _assert_unchanged(s, snap)
+    explore_all_schedules(t, algorithm, ids)
+    _assert_unchanged(s, snap)
