@@ -474,6 +474,22 @@ def _become_leaf(state, actions):
     actions.append(Send(port, 1, CAT_LEAF))
 
 
+def _start_stabilizing(state):
+    """Apply the init event to a stabilizing state in place; returns
+    the actions. Only for a state no one else holds yet."""
+    actions = []
+    if state.degree == 0:
+        # A stabilizing node starts with output NonLeader, so the
+        # winner's switch to Leader is a revision, not a latch break.
+        state.output = LEADER
+        actions.append(Declare(LEADER))
+        state.halted = True
+        actions.append(Halt())
+    elif state.degree == 1:
+        _become_leaf(state, actions)
+    return actions
+
+
 def stabilizing_step(state, event):
     """One transition of the stabilizing automaton.
 
@@ -486,18 +502,9 @@ def stabilizing_step(state, event):
     isolated vertex has no one to beat and declares immediately.
     """
     state = state.copy()
-    actions = []
     if event[0] == "init":
-        if state.degree == 0:
-            # A stabilizing node starts with output NonLeader, so the
-            # winner's switch to Leader is a revision, not a latch break.
-            state.output = LEADER
-            actions.append(Declare(LEADER))
-            state.halted = True
-            actions.append(Halt())
-        elif state.degree == 1:
-            _become_leaf(state, actions)
-        return state, actions
+        return state, _start_stabilizing(state)
+    actions = []
     port = event[1]
     state.received[port] += 1
     if state.needed is not None:

@@ -23,6 +23,7 @@ from .protocol import (
     Declare,
     Halt,
     Send,
+    _start_stabilizing,
     compile_even_rules,
     compile_general_rules,
     OddDiameterError,
@@ -117,7 +118,7 @@ class NetworkState:
         for v in range(topology.n):
             if algorithm == "stabilizing":
                 state = protocol.stabilizing_state(topology.degree(v), ids[v])
-                state, actions = protocol.stabilizing_step(state, ("init",))
+                actions = _start_stabilizing(state)
             else:
                 state, actions = protocol.init_node(topology.degree(v), rules)
             self.node_states.append(state)
@@ -189,12 +190,20 @@ class NetworkState:
                      if s.needed is not None and not s.halted)
 
     def check_conservation(self):
-        """Check pulse conservation per edge, and the incrementally kept
+        """Check pulse conservation per edge, the per-edge send totals
+        against the senders' own counters, and the incrementally kept
         fields against a full scan of the counters and node states."""
         for i in range(len(self.in_flight)):
             if self.sent_edges[i] != self.delivered_edges[i] + self.in_flight[i]:
                 raise AssertionError("conservation broken on edge %r"
                                      % (self.dir_edges[i],))
+        for v, s in enumerate(self.node_states):
+            for p, count in enumerate(s.sent):
+                i = self.offset[v] + p
+                if self.sent_edges[i] != count:
+                    raise AssertionError(
+                        "sent_edges[%d] is %d, but vertex %d sent %d on "
+                        "port %d" % (i, self.sent_edges[i], v, count, p))
         for name, want in zip(("enabled", "in_flight_total", "halted_count",
                                "leaders"), self._scan()):
             if getattr(self, name) != want:
@@ -247,12 +256,8 @@ class NetworkState:
                 self.violation = (v, self.steps)
             actions = []
         else:
-            if self.algorithm == "stabilizing":
-                new_state, actions = protocol.stabilizing_step(
-                    receiver, ("deliver", port))
-            else:
-                new_state, actions = protocol.on_deliver(
-                    receiver, self.rules, port)
+            new_state, actions = _react(self.algorithm, self.rules,
+                                        receiver, port)
             self.node_states[v] = new_state
             if new_state.halted:
                 self.halted_count += 1
@@ -275,6 +280,17 @@ class NetworkState:
                 "in_flight_total": self.in_flight_total,
             })
         return info
+
+
+def _react(algorithm, rules, node_state, port):
+    """A live node's successor state and actions for one pulse on port.
+
+    The automata are reached as attributes of the protocol module, so a
+    wrapper put there sees every call.
+    """
+    if algorithm == "stabilizing":
+        return protocol.stabilizing_step(node_state, ("deliver", port))
+    return protocol.on_deliver(node_state, rules, port)
 
 
 def _digest(node_state):
@@ -555,17 +571,56 @@ class ModelCheckReport:
 def explore_all_schedules(t, algorithm, ids=None, *, max_states=10 ** 6):
     """Exhaustively walk every delivery interleaving of one instance.
 
-    Depth-first with an explicit stack and a visited set keyed on node
-    states plus in-flight counters; the branch point is which nonempty
-    directed edge delivers next. Terminal states (nothing in flight)
-    are grouped into classes by leader, outputs, and per-directed-edge
-    send totals. Per-transition bookkeeping feeds the direction and
-    quiescence checks. Raises StateCapExceededError beyond max_states.
+    Depth-first with an explicit stack and a visited set; the branch
+    point is which nonempty directed edge delivers next. Distinct node
+    states are interned per (node ID, NodeState.key()), so a global
+    state is one flat tuple: n interned indices, then the m in-flight
+    counters. It partitions states exactly as NetworkState.key() does.
+    Pulses carry no content, so a live node's reply depends only on its
+    state and the arrival port; each (index, port) step is computed once
+    and stored with its sends relative to the sender's first edge.
+
+    Terminal states (nothing in flight) are grouped into classes by
+    leader, outputs, and per-directed-edge send totals. Per-transition
+    bookkeeping feeds the direction and quiescence checks. Raises
+    StateCapExceededError beyond max_states.
     """
     root = new_simulation(t, algorithm, ids)
+    rules = root.rules
+    offset = root.offset
+    n = t.n
+    receiver = [v for _, v in root.dir_edges]
+    arrival = [t.port_to(v, u) for u, v in root.dir_edges]
     layering = root.layering
-    seen = {root.key()}
-    stack = [root]
+    wrong_way = [layering is not None and layering.parent_of[u] != v
+                 for u, v in root.dir_edges]
+    index = {}    # (node_id, NodeState.key()) -> interned index
+    nodes = []    # interned index -> NodeState
+    halted = []   # interned index -> NodeState.halted
+    moves = {}    # (index, port) -> (next index, ((port, count), ...),
+                  #                   declares LEADER)
+
+    def intern(ns):
+        k = (ns.node_id, ns.key())
+        i = index.get(k)
+        if i is None:
+            i = index[k] = len(nodes)
+            nodes.append(ns)
+            halted.append(ns.halted)
+        return i
+
+    def move(i, port):
+        ns, actions = _react(algorithm, rules, nodes[i], port)
+        sends = tuple((a.port, a.count) for a in actions
+                      if isinstance(a, Send))
+        declares = any(isinstance(a, Declare) and a.output == LEADER
+                       for a in actions)
+        moves[i, port] = found = (intern(ns), sends, declares)
+        return found
+
+    start = tuple([intern(ns) for ns in root.node_states] + root.in_flight)
+    seen = {start}
+    stack = [(start, 0, len(root.leaders))]
     classes = {}
     transitions = 0
     direction_violations = 0
@@ -573,42 +628,60 @@ def explore_all_schedules(t, algorithm, ids=None, *, max_states=10 ** 6):
     nonquiescent = 0
     multi_leader = 0
     while stack:
-        state = stack.pop()
-        enabled = state.enabled_edges()
+        state, d2h, leader_count = stack.pop()
+        counters = state[n:]
+        enabled = [ei for ei, c in enumerate(counters) if c]
         if not enabled:
-            ck = (state.leader_vertex(), state.outputs(),
-                  tuple(state.sent_edges))
-            d2h = state.deliveries_to_halted
+            at = [nodes[i] for i in state[:n]]
+            outputs = tuple(ns.output for ns in at)
+            leader = outputs.index(LEADER) if LEADER in outputs else None
+            ck = (leader, outputs, tuple(c for ns in at for c in ns.sent))
             cls = classes.get(ck)
             if cls is None:
-                classes[ck] = [1, d2h, d2h, state.blocked_vertices()]
+                classes[ck] = [1, d2h, d2h, tuple(
+                    v for v, ns in enumerate(at)
+                    if ns.needed is not None and not ns.halted)]
             else:
                 cls[0] += 1
                 cls[1] = min(cls[1], d2h)
                 cls[2] = max(cls[2], d2h)
             continue
-        pre_leader = state.leader_vertex() is None
+        pre_leader = leader_count == 0
+        after_delivery = sum(counters) - 1
         for ei in enabled:
-            child = state.clone()
-            info = child._deliver(ei)
             transitions += 1
-            if pre_leader and layering is not None:
-                u, v = child.dir_edges[ei]
-                if layering.parent_of[u] != v:
-                    direction_violations += 1
-            if info["to_halted"]:
+            if pre_leader and wrong_way[ei]:
+                direction_violations += 1
+            v = receiver[ei]
+            child = list(state)
+            child[n + ei] -= 1
+            child_d2h = d2h
+            child_leaders = leader_count
+            i = state[v]
+            if halted[i]:
+                # The pulse is absorbed; only the books remember it.
+                child_d2h += 1
                 halted_deliveries += 1
-            if info["declared_leader"] and info["in_flight_at_declare"] != 0:
-                nonquiescent += 1
-            if child.leader_count() > 1:
+            else:
+                port = arrival[ei]
+                nxt, sends, declares = moves.get((i, port)) or move(i, port)
+                child[v] = nxt
+                if declares:
+                    child_leaders += 1
+                    if after_delivery:
+                        nonquiescent += 1
+                base = n + offset[v]
+                for p, c in sends:
+                    child[base + p] += c
+            if child_leaders > 1:
                 multi_leader += 1
-            k = child.key()
-            if k not in seen:
+            child = tuple(child)
+            if child not in seen:
                 if len(seen) >= max_states:
                     raise StateCapExceededError(
                         "more than %d states" % max_states)
-                seen.add(k)
-                stack.append(child)
+                seen.add(child)
+                stack.append((child, child_d2h, child_leaders))
     terminal_classes = [
         TerminalClass(
             leader=ck[0], outputs=ck[1], per_edge_sent=ck[2],

@@ -1,25 +1,41 @@
 import copy
 import hashlib
+import itertools
 import json
 import random
 
 import pytest
 
-from pulseforge.protocol import LEADER, NONLEADER, NodeState
+import oracles
+from pulseforge import protocol
+from pulseforge.protocol import (
+    CAT_UPSTREAM,
+    LEADER,
+    NONLEADER,
+    Declare,
+    NodeState,
+    Send,
+)
 from pulseforge.simulator import (
     AdversaryScript,
     DuplicateIdsError,
     MissingIdsError,
+    ModelCheckReport,
     NoPulseInFlightError,
     RoundRobin,
     SeededRandom,
     StateCapExceededError,
+    TerminalClass,
     explore_all_schedules,
     new_simulation,
     run,
     step,
 )
-from pulseforge.topology import TreeTopology, layer_decomposition
+from pulseforge.topology import (
+    TreeTopology,
+    is_edge_symmetric,
+    layer_decomposition,
+)
 from pulseforge.harness import (
     random_asymmetric_tree,
     random_tree,
@@ -344,6 +360,13 @@ def test_check_conservation_catches_stale_fields():
         setattr(broken, name, value)
         with pytest.raises(AssertionError, match=name):
             broken.check_conservation()
+    # A sender whose own counter disagrees with the per-edge total.
+    broken = s.clone()
+    leaf = broken.node_states[1].copy()
+    leaf.sent[0] += 1
+    broken.node_states[1] = leaf
+    with pytest.raises(AssertionError, match="sent_edges"):
+        broken.check_conservation()
 
 
 class ModularScan:
@@ -493,3 +516,166 @@ def test_run_step_and_explore_leave_caller_state_unchanged(t, algorithm,
         _assert_unchanged(s, snap)
     explore_all_schedules(t, algorithm, ids)
     _assert_unchanged(s, snap)
+
+
+def reference_explore(t, algorithm, ids=None, *, max_states=10 ** 6):
+    """The straightforward explorer: every transition clones the whole
+    NetworkState, delivers through _deliver and keys the child with
+    NetworkState.key(). explore_all_schedules must report exactly what
+    this reports."""
+    root = new_simulation(t, algorithm, ids)
+    layering = root.layering
+    seen = {root.key()}
+    stack = [root]
+    classes = {}
+    transitions = 0
+    direction_violations = 0
+    halted_deliveries = 0
+    nonquiescent = 0
+    multi_leader = 0
+    while stack:
+        state = stack.pop()
+        enabled = state.enabled_edges()
+        if not enabled:
+            ck = (state.leader_vertex(), state.outputs(),
+                  tuple(state.sent_edges))
+            d2h = state.deliveries_to_halted
+            cls = classes.get(ck)
+            if cls is None:
+                classes[ck] = [1, d2h, d2h, state.blocked_vertices()]
+            else:
+                cls[0] += 1
+                cls[1] = min(cls[1], d2h)
+                cls[2] = max(cls[2], d2h)
+            continue
+        pre_leader = state.leader_vertex() is None
+        for ei in enabled:
+            child = state.clone()
+            info = child._deliver(ei)
+            transitions += 1
+            if pre_leader and layering is not None:
+                u, v = child.dir_edges[ei]
+                if layering.parent_of[u] != v:
+                    direction_violations += 1
+            if info["to_halted"]:
+                halted_deliveries += 1
+            if info["declared_leader"] and info["in_flight_at_declare"] != 0:
+                nonquiescent += 1
+            if child.leader_count() > 1:
+                multi_leader += 1
+            k = child.key()
+            if k not in seen:
+                if len(seen) >= max_states:
+                    raise StateCapExceededError(
+                        "more than %d states" % max_states)
+                seen.add(k)
+                stack.append(child)
+    terminal_classes = [
+        TerminalClass(
+            leader=ck[0], outputs=ck[1], per_edge_sent=ck[2],
+            total_pulses=sum(ck[2]),
+            deliveries_to_halted_min=rec[1],
+            deliveries_to_halted_max=rec[2],
+            blocked=rec[3], states=rec[0])
+        for ck, rec in sorted(classes.items(),
+                              key=lambda kv: (str(kv[0][0]), kv[0][1]))
+    ]
+    return ModelCheckReport(
+        algorithm=algorithm,
+        states=len(seen),
+        transitions=transitions,
+        terminal_classes=terminal_classes,
+        confluent=len(terminal_classes) == 1,
+        leaders=tuple(sorted({c.leader for c in terminal_classes
+                              if c.leader is not None})),
+        direction_violations=direction_violations,
+        halted_delivery_transitions=halted_deliveries,
+        nonquiescent_declarations=nonquiescent,
+        multi_leader_states=multi_leader,
+    )
+
+
+def _relabelled(n, edges, seed):
+    """An isomorphic tree with permuted labels, edge directions and
+    port order, all drawn from the seed."""
+    rng = random.Random(seed)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v]) if rng.random() < 0.5 else (perm[v], perm[u])
+             for u, v in edges]
+    rng.shuffle(edges)
+    return TreeTopology(n, edges)
+
+
+def _shapes(max_n):
+    """Every unlabeled tree with at most max_n vertices, relabelled."""
+    return [_relabelled(n, edges, 1000 * n + k)
+            for n in range(1, max_n + 1)
+            for k, edges in enumerate(oracles.nonisomorphic_trees(n))]
+
+
+@pytest.mark.parametrize("algorithm", ["even", "general"])
+def test_explore_equals_reference_on_every_small_shape(algorithm):
+    checked = 0
+    for t in _shapes(7):
+        if algorithm == "even" and layer_decomposition(t).diameter % 2:
+            continue
+        if algorithm == "general" and is_edge_symmetric(t).symmetric:
+            continue
+        assert explore_all_schedules(t, algorithm).to_dict() == \
+            reference_explore(t, algorithm).to_dict(), t.edges()
+        checked += 1
+    assert checked == (15 if algorithm == "even" else 21)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_explore_equals_reference_under_every_id_permutation(n):
+    # With n=2 both nodes start in states with equal keys, and only
+    # their IDs tell them apart.
+    for edges in oracles.nonisomorphic_trees(n):
+        t = _relabelled(n, edges, n)
+        for ids in itertools.permutations(range(1, n + 1)):
+            assert explore_all_schedules(t, "stabilizing", ids).to_dict() \
+                == reference_explore(t, "stabilizing", ids).to_dict(), \
+                (t.edges(), ids)
+
+
+def test_explore_state_cap_matches_reference():
+    states = reference_explore(binary(2), "even").states
+    assert explore_all_schedules(binary(2), "even",
+                                 max_states=states).states == states
+    for explore in (reference_explore, explore_all_schedules):
+        with pytest.raises(StateCapExceededError):
+            explore(binary(2), "even", max_states=states - 1)
+
+
+def _faulty_on_deliver(real):
+    """A broken automaton: a node echoes a pulse back down whenever it
+    sends up, and declares LEADER where it should declare NONLEADER."""
+
+    def on_deliver(state, rules, port):
+        state, actions = real(state, rules, port)
+        if state.output == NONLEADER:
+            state.output = LEADER
+            actions = [Declare(LEADER) if isinstance(a, Declare) else a
+                       for a in actions]
+        if any(isinstance(a, Send) and a.category == CAT_UPSTREAM
+               for a in actions):
+            state.sent[port] += 1
+            actions.append(Send(port, 1, CAT_UPSTREAM))
+        return state, actions
+    return on_deliver
+
+
+@pytest.mark.parametrize("t,algorithm", [(path(5), "even"),
+                                         (c5(), "general")])
+def test_every_counter_fires_under_a_faulty_automaton(monkeypatch, t,
+                                                      algorithm):
+    monkeypatch.setattr(protocol, "on_deliver",
+                        _faulty_on_deliver(protocol.on_deliver))
+    rep = explore_all_schedules(t, algorithm)
+    assert rep.to_dict() == reference_explore(t, algorithm).to_dict()
+    assert rep.direction_violations > 0
+    assert rep.halted_delivery_transitions > 0
+    assert rep.nonquiescent_declarations > 0
+    assert rep.multi_leader_states > 0
