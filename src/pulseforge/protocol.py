@@ -106,6 +106,10 @@ class LeaderRule:
     variant: str
 
 
+_MISS = object()
+_NEVER = float("inf")
+
+
 class RuleSet:
     """Compiled rules for one algorithm instance."""
 
@@ -117,6 +121,8 @@ class RuleSet:
         self.radius = radius
         self.shape_count = shape_count
         self._by_degree = {}
+        self._quota_memo = {}
+        self._floor = {}
 
     def triggers_for_degree(self, d):
         """(target, trigger) of every upstream rule a degree-d node obeys.
@@ -135,6 +141,44 @@ class RuleSet:
                 reverse=True))
             self._by_degree[d] = found
         return found
+
+    def upstream_quota(self, d, rest):
+        """Quota of the upstream rule a degree-d node obeys when its
+        non-remaining ports hold rest (a tuple sorted descending); None
+        when no rule matches.
+
+        The answer depends on the rules alone, so it is memoised in one
+        dict per degree, keyed by rest, and every state that holds this
+        RuleSet (clones, steps, an exploration) shares it. A rest that
+        is below every trigger at its first or last entry can match no
+        rule; it is answered without a scan and kept out of the memo. A
+        miss scans triggers_for_degree(d): targets are distinct and
+        come falling, so the first trigger rest dominates carries the
+        largest quota, and a trigger whose largest entry exceeds rest's
+        largest cannot be dominated.
+        """
+        memo = self._quota_memo.get(d)
+        if memo is None:
+            memo = self._quota_memo[d] = {}
+            wants = [want for _, want in self.triggers_for_degree(d) if want]
+            # The least tuple has the least first entry.
+            self._floor[d] = ((min(wants)[0], min([w[-1] for w in wants]))
+                              if wants else (_NEVER, _NEVER))
+        if rest:
+            first, last = self._floor[d]
+            if rest[0] < first or rest[-1] < last:
+                return None
+        quota = memo.get(rest, _MISS)
+        if quota is _MISS:
+            quota = None
+            for target, want in self.triggers_for_degree(d):
+                if want and want[0] > rest[0]:
+                    continue
+                if _dominates(rest, want):
+                    quota = target
+                    break
+            memo[rest] = quota
+        return quota
 
     def describe(self):
         """Stable human-readable listing, one rule per line."""
@@ -320,7 +364,8 @@ class NodeState:
 
 
 def _split_remaining(received, required, forced=None):
-    """The remaining port and the other ports' counts, sorted descending.
+    """The remaining port and the other ports' counts as a tuple,
+    sorted descending.
 
     The remaining port must hold exactly `required` pulses; forced
     restricts it to one port. Every admissible port holds the same
@@ -336,7 +381,8 @@ def _split_remaining(received, required, forced=None):
         return None
     else:
         port = forced
-    return port, sorted(received[:port] + received[port + 1:], reverse=True)
+    return port, tuple(sorted(received[:port] + received[port + 1:],
+                              reverse=True))
 
 
 def _dominates(have, want):
@@ -401,15 +447,8 @@ def _evaluate(state, rules):
     if found is None:
         return actions
     port, rest = found
-    # Targets are distinct and come falling, so the first trigger that
-    # rest dominates carries the largest quota; a trigger whose largest
-    # entry exceeds rest's largest cannot be dominated.
-    for target, want in rules.triggers_for_degree(state.degree):
-        if want and want[0] > rest[0]:
-            continue
-        if _dominates(rest, want):
-            break
-    else:
+    target = rules.upstream_quota(state.degree, rest)
+    if target is None:
         return actions
     if state.up_port is None:
         state.up_port = port

@@ -83,7 +83,7 @@ class NetworkState:
     __slots__ = ("topology", "algorithm", "rules", "ids", "layering",
                  "node_states", "in_flight", "sent_edges", "delivered_edges",
                  "sent_by_category", "deliveries", "deliveries_to_halted",
-                 "steps", "leader_step", "in_flight_at_leader", "violation",
+                 "leader_step", "in_flight_at_leader", "violation",
                  "trace", "offset", "dir_edges", "enabled", "in_flight_total",
                  "halted_count", "leaders")
 
@@ -108,7 +108,6 @@ class NetworkState:
         self.sent_by_category = {cat: 0 for cat in CATEGORIES}
         self.deliveries = 0
         self.deliveries_to_halted = 0
-        self.steps = 0
         self.leader_step = None
         self.in_flight_at_leader = None
         self.violation = None
@@ -122,6 +121,11 @@ class NetworkState:
             else:
                 state, actions = protocol.init_node(topology.degree(v), rules)
             self.node_states.append(state)
+            if state.output == LEADER:
+                # Only an isolated vertex declares at init, with
+                # nothing in flight towards it.
+                self.leader_step = 0
+                self.in_flight_at_leader = self.in_flight_total
             if actions:
                 self._apply_sends(v, actions)
         self.halted_count = [s.halted for s in self.node_states].count(True)
@@ -144,7 +148,6 @@ class NetworkState:
         c.sent_by_category = dict(self.sent_by_category)
         c.deliveries = self.deliveries
         c.deliveries_to_halted = self.deliveries_to_halted
-        c.steps = self.steps
         c.leader_step = self.leader_step
         c.in_flight_at_leader = self.in_flight_at_leader
         c.violation = self.violation
@@ -241,45 +244,39 @@ class NetworkState:
             del self.enabled[bisect_left(self.enabled, ei)]
         self.delivered_edges[ei] += 1
         self.deliveries += 1
-        self.steps += 1
-        port = self.topology.port_to(v, u)
         receiver = self.node_states[v]
-        info = {"to_halted": False, "declared_leader": False,
-                "in_flight_at_declare": None}
         if receiver.halted:
             # Halted means the device is off; the pulse is absorbed and
             # only the books remember it. For the quiescent algorithm
             # this should be unreachable, so the first hit is recorded.
             self.deliveries_to_halted += 1
-            info["to_halted"] = True
             if self.algorithm == "general" and self.violation is None:
-                self.violation = (v, self.steps)
-            actions = []
+                self.violation = (v, self.deliveries)
+            actions = ()
         else:
-            new_state, actions = _react(self.algorithm, self.rules,
-                                        receiver, port)
+            new_state, actions = _react(self.algorithm, self.rules, receiver,
+                                        self.topology.port_to(v, u))
             self.node_states[v] = new_state
             if new_state.halted:
                 self.halted_count += 1
-            if any(isinstance(a, Declare) and a.output == LEADER
-                   for a in actions):
-                insort(self.leaders, v)
-                # Snapshot before the leader's own broadcast goes out:
-                # this is the count the quiescence claim is about.
-                self.leader_step = self.steps
-                self.in_flight_at_leader = self.in_flight_total
-                info["declared_leader"] = True
-                info["in_flight_at_declare"] = self.in_flight_at_leader
-            self._apply_sends(v, actions)
+            if actions:
+                if any(isinstance(a, Declare) and a.output == LEADER
+                       for a in actions):
+                    insort(self.leaders, v)
+                    # Snapshot before the leader's own broadcast goes
+                    # out: this is the count the quiescence claim is
+                    # about.
+                    self.leader_step = self.deliveries
+                    self.in_flight_at_leader = self.in_flight_total
+                self._apply_sends(v, actions)
         if self.trace is not None:
             self.trace.append({
-                "step": self.steps,
+                "step": self.deliveries,
                 "edge": [u, v],
                 "receiver_state_digest": _digest(self.node_states[v]),
                 "actions": [_action_brief(a) for a in actions],
                 "in_flight_total": self.in_flight_total,
             })
-        return info
 
 
 def _react(algorithm, rules, node_state, port):
@@ -473,9 +470,10 @@ def run(state, scheduler, budget):
     state = state.clone()
     stabilizing = state.algorithm == "stabilizing"
     enabled = state.enabled
+    n = len(state.node_states)
     status = None
     while True:
-        if state.all_halted() and state.in_flight_total == 0:
+        if state.halted_count == n and state.in_flight_total == 0:
             status = "terminated"
             break
         if stabilizing and _is_stabilized(state):
@@ -507,7 +505,7 @@ def run(state, scheduler, budget):
         deliveries_to_halted=state.deliveries_to_halted,
         in_flight_at_leader=state.in_flight_at_leader,
         leader_step=state.leader_step,
-        steps=state.steps,
+        steps=state.deliveries,
         seed=getattr(scheduler, "seed", None),
         ids=state.ids,
         blocked=state.blocked_vertices(),

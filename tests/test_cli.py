@@ -2,6 +2,8 @@ import dataclasses
 import importlib
 import json
 
+import pytest
+
 import pulseforge
 import pulseforge.cli
 from pulseforge.cli import cli
@@ -183,6 +185,36 @@ def test_sweep_json_reproducible(capsys):
         {k: v for k, v in row.items() if k != "wall_time"}
         for row in json.loads(text)["rows"]]
     assert scrub(out1) == scrub(out2)
+
+
+@pytest.mark.parametrize("seeds", ["0", "-3"])
+def test_sweep_rejects_an_empty_seed_range(capsys, seeds):
+    code, out, err = run_cli(capsys, "sweep", "--gen", "path", "--n", "5",
+                             "--alg", "even", "--seeds", seeds)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "--seeds" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("alg,extra", [("even", []), ("general", []),
+                                       ("stabilizing", ["--ids", "4"])])
+def test_run_single_vertex_passes_its_judge(capsys, alg, extra):
+    code, out, err = run_cli(capsys, "run", "--tree", "single", "--alg",
+                             alg, *extra)
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["status"] == "terminated" and doc["leader"] == 0
+    # The lone vertex declares at init, before any delivery.
+    assert doc["leader_step"] == 0 and doc["in_flight_at_leader"] == 0
+
+
+def test_sweep_of_single_vertices_passes(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--gen", "random", "--n", "1",
+                             "--alg", "general", "--seeds", "2")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["passed"] is True and len(doc["rows"]) == 2
 
 
 def test_sweep_requires_matching_size_flag(capsys):

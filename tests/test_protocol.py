@@ -182,6 +182,49 @@ def test_upstream_choice_matches_brute_force(data):
         assert actions == [Send(port, quota, CAT_UPSTREAM)]
 
 
+# Long-lived rule sets: every example below evaluates on the same two,
+# so later examples meet a memo that earlier ones filled.
+WARM_RULE_SETS = (compile_even_rules(8),
+                  compile_general_rules(random_asymmetric_tree(60, 4)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_memoised_upstream_match_equals_brute_force_when_warm(data):
+    rules = data.draw(st.sampled_from(WARM_RULE_SETS))
+    if rules.algorithm == "even":
+        d = data.draw(st.integers(1, 4))
+    else:
+        d = data.draw(st.sampled_from(sorted({r.degree
+                                              for r in rules.upstream})))
+    pairs = _quota_triggers(rules, d)
+    near = sorted({0} | {x + e for _, trig in pairs for x in trig
+                         for e in (-1, 0, 1) if x + e >= 0})
+    received = data.draw(st.lists(st.sampled_from(near), min_size=d,
+                                  max_size=d))
+    up_port = data.draw(st.none() | st.integers(0, d - 1))
+    best = oracles.brute_force_upstream(received, pairs, up_port)
+    # The second evaluation meets what the first left in the memo.
+    for _ in range(2):
+        state = NodeState(d)
+        state.received = list(received)
+        state.up_port = up_port
+        state.leader_armed = False
+        actions = _evaluate(state, rules)
+        if best is None:
+            assert actions == []
+            assert state.up_port == up_port
+        else:
+            quota, port = best
+            assert state.up_port == port
+            assert actions == [Send(port, quota, CAT_UPSTREAM)]
+    if best is not None:
+        quota, port = best
+        rest = tuple(sorted(received[:port] + received[port + 1:],
+                            reverse=True))
+        assert rules._quota_memo[d][rest] == quota
+
+
 def test_init_leaf_sends_radius_even():
     rules = compile_even_rules(4)
     state, actions = init_node(1, rules)

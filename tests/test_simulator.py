@@ -7,7 +7,7 @@ import random
 import pytest
 
 import oracles
-from pulseforge import protocol
+from pulseforge import protocol, simulator
 from pulseforge.protocol import (
     CAT_UPSTREAM,
     LEADER,
@@ -479,6 +479,142 @@ def test_seeded_schedules_are_pinned(name, algorithm, seed, want,
     assert hashlib.sha256(edges).hexdigest()[:16] == edges_digest
 
 
+def _pinned_instances():
+    """30 even runs on random trees of even diameter and 30 general runs
+    on random asymmetric trees, each scheduled by SeededRandom(seed)."""
+    even = [("even", n, seed) for seed in range(200) for n in (12, 30, 60)
+            if layer_decomposition(random_tree(n, seed)).diameter % 2 == 0]
+    general = [("general", n, seed) for seed in range(10)
+               for n in (12, 30, 60)]
+    return even[:30] + general
+
+
+# (algorithm, n, seed) -> (leader, total_pulses, deliveries, leader_step)
+# and a digest of the run's verdict fields together with its delivered
+# edge sequence. Each run terminated.
+PINNED_RUNS = [
+    ("even", 60, 0, (39, 525, 525, 466), "4703ca4a643f376b"),
+    ("even", 12, 1, (7, 35, 35, 24), "a2460530c686b28a"),
+    ("even", 60, 1, (13, 580, 580, 521), "7854da179dfc65f2"),
+    ("even", 30, 2, (21, 217, 217, 188), "b882dfb76c846024"),
+    ("even", 30, 3, (20, 166, 166, 137), "7adde40caa8eb1de"),
+    ("even", 30, 4, (8, 196, 196, 167), "a18382f409e261e6"),
+    ("even", 60, 4, (54, 556, 556, 497), "77fcabd669fd10e6"),
+    ("even", 12, 6, (10, 43, 43, 32), "4b9cfc990b336f95"),
+    ("even", 60, 6, (16, 388, 388, 328), "4cf35c8b10f507a9"),
+    ("even", 12, 7, (8, 42, 42, 31), "97e08606e75567a0"),
+    ("even", 30, 7, (1, 145, 145, 116), "561cf3455950eb92"),
+    ("even", 12, 8, (2, 35, 35, 24), "42404d09d2a42132"),
+    ("even", 30, 8, (12, 161, 161, 131), "73a4b197ad5a0389"),
+    ("even", 60, 8, (6, 478, 478, 419), "cea5d1ffea4b178c"),
+    ("even", 12, 9, (10, 42, 42, 31), "2f0fb3c06f7f898a"),
+    ("even", 60, 9, (26, 546, 546, 487), "3f9b3bd09148fbb0"),
+    ("even", 12, 10, (3, 37, 37, 26), "869db62731a344d2"),
+    ("even", 30, 10, (5, 208, 208, 178), "3a9261158bc5714b"),
+    ("even", 12, 11, (2, 38, 38, 27), "9e5f3ea6ef410272"),
+    ("even", 12, 12, (2, 42, 42, 31), "b9241b7de3031a1c"),
+    ("even", 30, 12, (4, 162, 162, 133), "5268f504eddf579c"),
+    ("even", 60, 12, (5, 525, 525, 466), "781ed9d4cbcdc025"),
+    ("even", 60, 13, (16, 482, 482, 423), "750360457630e8b7"),
+    ("even", 12, 14, (4, 36, 36, 25), "9e788fa2a05e0c09"),
+    ("even", 60, 14, (38, 644, 644, 585), "75a3b24d7d69888f"),
+    ("even", 30, 15, (8, 155, 155, 126), "ea92a6d0de753331"),
+    ("even", 12, 16, (0, 36, 36, 25), "aaf3c62d9b9e9d69"),
+    ("even", 30, 16, (19, 163, 163, 134), "954d9dddcbff85f4"),
+    ("even", 60, 16, (14, 447, 447, 385), "67d387ac1e96308f"),
+    ("even", 12, 17, (2, 43, 43, 32), "676ee47caa24e9b3"),
+    ("general", 12, 0, (4, 47, 47, 36), "c5c4b97911422129"),
+    ("general", 30, 0, (4, 352, 352, 323), "d217f9049d0c61e5"),
+    ("general", 60, 0, (39, 1105, 1105, 1046), "d4a775d26bf055e4"),
+    ("general", 12, 1, (7, 45, 45, 34), "f62fed30d52aaca3"),
+    ("general", 30, 1, (24, 300, 300, 271), "54bbb267939c1f2e"),
+    ("general", 60, 1, (13, 1111, 1111, 1052), "030f6f8ec9334f89"),
+    ("general", 12, 2, (6, 54, 54, 43), "91554639579c94df"),
+    ("general", 30, 2, (21, 385, 385, 356), "4c0f4db01e9cc27c"),
+    ("general", 60, 2, (59, 1311, 1311, 1252), "5ac1e275564ce0e2"),
+    ("general", 12, 3, (9, 44, 44, 33), "342c17f30c2db865"),
+    ("general", 30, 3, (20, 302, 302, 273), "8588ee75a160d169"),
+    ("general", 60, 3, (55, 1255, 1255, 1196), "d4c96dd4ba537fbc"),
+    ("general", 12, 4, (1, 43, 43, 32), "fba22ef59082d555"),
+    ("general", 30, 4, (8, 332, 332, 303), "3dbed564838b81b1"),
+    ("general", 60, 4, (54, 1343, 1343, 1284), "2bf2001d1bb08e85"),
+    ("general", 12, 5, (7, 59, 59, 48), "43d06d48453b809f"),
+    ("general", 30, 5, (7, 394, 394, 365), "73fb7d91f26d0fa8"),
+    ("general", 60, 5, (49, 1029, 1029, 970), "8f531dfca083b265"),
+    ("general", 12, 6, (10, 53, 53, 42), "364898ad4864bea7"),
+    ("general", 30, 6, (15, 297, 297, 268), "32f7ffd140de75eb"),
+    ("general", 60, 6, (16, 885, 885, 826), "8d46583655535b99"),
+    ("general", 12, 7, (8, 60, 60, 49), "ce525f5fe71f8c5e"),
+    ("general", 30, 7, (1, 246, 246, 217), "5b3f32ccb0d09730"),
+    ("general", 60, 7, (37, 1112, 1112, 1053), "1319e90ea7417ff8"),
+    ("general", 12, 8, (2, 45, 45, 34), "83ac62f7a606741d"),
+    ("general", 30, 8, (12, 341, 341, 312), "b3d50bced40de843"),
+    ("general", 60, 8, (6, 1079, 1079, 1020), "5f1ecd03feec9cf5"),
+    ("general", 12, 9, (10, 60, 60, 49), "e77fe3227a0fc00d"),
+    ("general", 30, 9, (14, 295, 295, 266), "ab92e160d10e4600"),
+    ("general", 60, 9, (26, 1377, 1377, 1318), "aae857fe63d4cb78"),
+]
+
+
+def test_seeded_runs_match_their_pinned_fields_and_edges():
+    assert [pin[:3] for pin in PINNED_RUNS] == _pinned_instances()
+    for algorithm, n, seed, want, digest in PINNED_RUNS:
+        t = random_tree(n, seed) if algorithm == "even" \
+            else random_asymmetric_tree(n, seed)
+        o = run(new_simulation(t, algorithm, record_trace=True),
+                SeededRandom(seed), 10 ** 6)
+        fields = {"status": o.status, "leader": o.leader,
+                  "outputs": list(o.outputs),
+                  "total_pulses": o.total_pulses,
+                  "pulses_by_category": o.pulses_by_category,
+                  "deliveries": o.deliveries, "leader_step": o.leader_step}
+        edges = [e["edge"] for e in o.trace]
+        got = hashlib.sha256(json.dumps([fields, edges], sort_keys=True)
+                             .encode()).hexdigest()[:16]
+        assert (o.leader, o.total_pulses, o.deliveries, o.leader_step,
+                got) == want + (digest,), (algorithm, n, seed)
+        assert o.to_dict()["steps"] == o.deliveries
+
+
+def test_rule_memo_is_shared_and_changes_nothing(monkeypatch):
+    t = random_asymmetric_tree(30, 5)
+    s = new_simulation(t, "general", record_trace=True)
+    memo = s.rules._quota_memo
+    assert s.clone().rules is s.rules
+    nxt = step(s, s.dir_edges[s.enabled_edges()[0]])
+    assert nxt.rules is s.rules
+    # Runs on clones of s fill the one memo; a later run that starts
+    # from the warm memo makes the same moves as one from a cold memo.
+    at_init = sum(map(len, memo.values()))
+    run(nxt, SeededRandom(2), 10 ** 6)
+    warm_entries = sum(map(len, memo.values()))
+    assert warm_entries > at_init
+    warm = run(s, SeededRandom(1), 10 ** 6)
+    cold = run(new_simulation(t, "general", record_trace=True),
+               SeededRandom(1), 10 ** 6)
+    assert warm.to_dict() == cold.to_dict()
+    assert warm.trace == cold.trace
+
+    # One exploration evaluates every transition with one RuleSet.
+    small = random_asymmetric_tree(8, 3)
+    cold_report = explore_all_schedules(small, "general").to_dict()
+    seen = []
+    real = protocol.on_deliver
+
+    def spy(state, rules, port):
+        seen.append(rules)
+        return real(state, rules, port)
+    monkeypatch.setattr(protocol, "on_deliver", spy)
+    assert explore_all_schedules(small, "general").to_dict() == cold_report
+    assert len({id(r) for r in seen}) == 1
+    assert seen[0]._quota_memo
+    # An exploration handed that warm RuleSet reports the same.
+    monkeypatch.setattr(simulator, "compile_general_rules",
+                        lambda tree: seen[0])
+    assert explore_all_schedules(small, "general").to_dict() == cold_report
+    assert reference_explore(small, "general").to_dict() == cold_report
+
+
 def _snapshot(state):
     """The state's key, and every node state it holds with all its
     fields read directly, not through the memoised key."""
@@ -521,8 +657,10 @@ def test_run_step_and_explore_leave_caller_state_unchanged(t, algorithm,
 def reference_explore(t, algorithm, ids=None, *, max_states=10 ** 6):
     """The straightforward explorer: every transition clones the whole
     NetworkState, delivers through _deliver and keys the child with
-    NetworkState.key(). explore_all_schedules must report exactly what
-    this reports."""
+    NetworkState.key(). What a delivery did is read off the child: an
+    absorbed pulse raises deliveries_to_halted, and a LEADER declaration
+    raises leader_count() and snapshots in_flight_at_leader.
+    explore_all_schedules must report exactly what this reports."""
     root = new_simulation(t, algorithm, ids)
     layering = root.layering
     seen = {root.key()}
@@ -551,15 +689,16 @@ def reference_explore(t, algorithm, ids=None, *, max_states=10 ** 6):
         pre_leader = state.leader_vertex() is None
         for ei in enabled:
             child = state.clone()
-            info = child._deliver(ei)
+            child._deliver(ei)
             transitions += 1
             if pre_leader and layering is not None:
                 u, v = child.dir_edges[ei]
                 if layering.parent_of[u] != v:
                     direction_violations += 1
-            if info["to_halted"]:
+            if child.deliveries_to_halted > state.deliveries_to_halted:
                 halted_deliveries += 1
-            if info["declared_leader"] and info["in_flight_at_declare"] != 0:
+            if child.leader_count() > state.leader_count() \
+                    and child.in_flight_at_leader != 0:
                 nonquiescent += 1
             if child.leader_count() > 1:
                 multi_leader += 1
