@@ -33,7 +33,7 @@ from .protocol import (
     compile_general_rules,
     init_node,
     on_deliver,
-    stabilizing_state,
+    init_stabilizing,
     stabilizing_step,
     match_trigger,
 )

@@ -12,14 +12,15 @@ edge. A third automaton implements the self-stabilizing election for
 nodes holding unique positive IDs; it needs no compiled rules and never
 halts the losers.
 
-Transitions are pure: each takes a NodeState and returns a fresh state
-plus the emitted actions, so the same code drives single runs and the
-exhaustive schedule exploration.
+Node states are immutable values and transitions are pure: each takes
+a NodeState and returns its successor plus the emitted actions, so the
+same code drives single runs and the exhaustive schedule exploration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .topology import enumerate_subtrees, is_edge_symmetric, layer_decomposition
 
@@ -288,79 +289,51 @@ def compile_general_rules(t):
     return RuleSet("general", upstream, leader, shape_count=k)
 
 
-class NodeState:
-    """Mutable-by-copy automaton state of one node.
+class NodeState(NamedTuple):
+    """Automaton state of one node, an immutable and hashable value.
 
-    Rule-driven nodes track per-port received and sent counters, the
-    committed upstream port, and whether the downstream reaction or the
-    leader rule is armed. Stabilizing nodes additionally hold their ID,
-    the set of live ports, the leaf flag, and the election counters.
-    Output is latched: once it leaves "undecided" it never changes.
+    Rule-driven nodes track received and sent counters, one per port
+    (so the degree is len(received)), the committed upstream port, and
+    whether the downstream reaction or the leader rule is armed.
+    Stabilizing nodes additionally hold the sorted live ports, the leaf
+    flag, the election counters and their ID. Output is latched: once
+    it leaves "undecided" it never changes.
 
-    A state is changed only between its copy() and the first key() of
-    the copy: network states share node states, and key() is computed
-    once per object.
+    Transitions build a successor and leave their input alone, so
+    network states share node states freely and a state is its own key.
+    Trace digests hash the first eleven fields, so their order is
+    fixed; node_id comes last.
     """
 
-    __slots__ = ("degree", "received", "sent", "up_port",
-                 "downstream_active", "leader_armed", "output", "halted",
-                 "node_id", "is_leaf", "live", "needed", "got", "_key")
+    received: tuple
+    sent: tuple
+    up_port: int | None = None
+    downstream_active: bool = False
+    leader_armed: bool = True
+    output: str = UNDECIDED
+    halted: bool = False
+    is_leaf: bool = False
+    live: tuple | None = None
+    needed: int | None = None
+    got: int | None = None
+    node_id: int | None = None
 
-    def __init__(self, degree, node_id=None):
-        self.degree = degree
-        self.received = [0] * degree
-        self.sent = [0] * degree
-        self.up_port = None
-        self.downstream_active = False
-        self.leader_armed = True
-        self.output = UNDECIDED
-        self.halted = False
-        self.node_id = node_id
-        self.is_leaf = False
-        self.live = None
-        self.needed = None
-        self.got = None
-        self._key = None
 
-    def copy(self):
-        c = NodeState.__new__(NodeState)
-        c.degree = self.degree
-        c.received = list(self.received)
-        c.sent = list(self.sent)
-        c.up_port = self.up_port
-        c.downstream_active = self.downstream_active
-        c.leader_armed = self.leader_armed
-        c.output = self.output
-        c.halted = self.halted
-        c.node_id = self.node_id
-        c.is_leaf = self.is_leaf
-        c.live = None if self.live is None else set(self.live)
-        c.needed = self.needed
-        c.got = self.got
-        c._key = None
-        return c
+_new = tuple.__new__  # builds a NodeState from a full field tuple
 
-    def key(self):
-        if self._key is None:
-            self._key = (
-                tuple(self.received), tuple(self.sent), self.up_port,
-                self.downstream_active, self.leader_armed, self.output,
-                self.halted, self.is_leaf,
-                None if self.live is None else tuple(sorted(self.live)),
-                self.needed, self.got,
-            )
-        return self._key
 
-    def _set_output(self, output):
-        if self.output != UNDECIDED and self.output != output:
-            raise AssertionError("output moved from %s to %s"
-                                 % (self.output, output))
-        self.output = output
+def _set_output(current, output):
+    """The output that replaces current; raises if that breaks the latch."""
+    if current != UNDECIDED and current != output:
+        raise AssertionError("output moved from %s to %s" % (current, output))
+    return output
 
-    def __repr__(self):
-        return "NodeState(d=%d, recv=%r, sent=%r, out=%s%s)" % (
-            self.degree, self.received, self.sent, self.output,
-            ", halted" if self.halted else "")
+
+def _bump(counts, port, by=1):
+    """counts with entry port raised by by."""
+    counts = list(counts)
+    counts[port] += by
+    return tuple(counts)
 
 
 def _split_remaining(received, required, forced=None):
@@ -390,75 +363,73 @@ def _dominates(have, want):
     return all(h >= w for h, w in zip(have, want))
 
 
-def match_trigger(received, trigger, remaining_required=0,
-                  forced_remaining=None):
+def match_trigger(received, trigger, remaining_required=0):
     """Find the admissible remaining port for a trigger, if any.
 
     The d-1 non-remaining ports must cover the trigger entries by
     sorted-descending componentwise domination. The remaining port
     itself must hold exactly remaining_required pulses. Ambiguity
-    between admissible remaining ports resolves to the lowest index;
-    forced_remaining restricts the search to one port.
+    between admissible remaining ports resolves to the lowest index.
     """
     d = len(received)
     if len(trigger) != d - 1:
         raise ValueError("trigger length %d does not fit degree %d"
                          % (len(trigger), d))
-    found = _split_remaining(received, remaining_required, forced_remaining)
+    found = _split_remaining(received, remaining_required)
     if found is None:
         return None
     port, rest = found
     return port if _dominates(rest, sorted(trigger, reverse=True)) else None
 
 
-def _leader_matches(state, rule):
-    d = state.degree
+def _leader_matches(received, rule):
     if rule.variant == "every_port_once":
-        return all(c >= 1 for c in state.received)
-    if rule.degree != d:
+        return all(c >= 1 for c in received)
+    if rule.degree != len(received):
         return False
     if rule.variant == "all_ports":
-        return _dominates(sorted(state.received, reverse=True),
+        return _dominates(sorted(received, reverse=True),
                           sorted(rule.trigger, reverse=True))
     # remaining_one
-    return match_trigger(state.received, rule.trigger,
+    return match_trigger(received, rule.trigger,
                          remaining_required=1) is not None
 
 
-def _evaluate(state, rules):
-    """Run the leader rule, then the upstream rules, on current counters.
+def _evaluate(state, rules, received):
+    """Run the leader rule, then the upstream rules, on the counters
+    received, which replace the state's own.
 
-    Mutates state and returns the emitted actions. Called after every
-    delivery and once at initialization on the all-zero counters, which
-    is what makes degree-1 nodes send their full quota up front.
+    Returns the successor state, built once, and the emitted actions.
+    Called after every delivery and once at initialization on the
+    all-zero counters, which is what makes degree-1 nodes send their
+    full quota up front.
     """
-    actions = []
-    if state.leader_armed and _leader_matches(state, rules.leader):
-        for p in range(state.degree):
-            actions.append(Send(p, 1, CAT_BROADCAST))
-            state.sent[p] += 1
-        state._set_output(LEADER)
-        actions.append(Declare(LEADER))
-        state.halted = True
-        state.leader_armed = False
-        actions.append(Halt())
-        return actions
-    found = _split_remaining(state.received, 0, state.up_port)
-    if found is None:
-        return actions
-    port, rest = found
-    target = rules.upstream_quota(state.degree, rest)
-    if target is None:
-        return actions
-    if state.up_port is None:
-        state.up_port = port
-    state.downstream_active = True
-    state.leader_armed = False
-    shortfall = target - state.sent[port]
-    if shortfall > 0:
-        state.sent[port] += shortfall
-        actions.append(Send(port, shortfall, CAT_UPSTREAM))
-    return actions
+    sent = state.sent
+    if state.leader_armed and _leader_matches(received, rules.leader):
+        actions = [Send(p, 1, CAT_BROADCAST) for p in range(len(sent))]
+        output = _set_output(state.output, LEADER)
+        actions += (Declare(LEADER), Halt())
+        return state._replace(received=received,
+                              sent=tuple([c + 1 for c in sent]),
+                              leader_armed=False, output=output,
+                              halted=True), actions
+    found = _split_remaining(received, 0, state.up_port)
+    if found is not None:
+        port, rest = found
+        target = rules.upstream_quota(len(received), rest)
+        # Once committed, with the upstream port set and the leader
+        # rule disarmed, a matching rule changes only a short quota.
+        if target is not None and (target > sent[port]
+                                   or not state.downstream_active):
+            actions = []
+            if target > sent[port]:
+                actions.append(Send(port, target - sent[port], CAT_UPSTREAM))
+                sent = _bump(sent, port, target - sent[port])
+            # A committed up_port is forced on _split_remaining, so it
+            # is port.
+            return _new(NodeState, (received, sent, port, True, False)
+                        + state[5:]), actions
+    return _new(NodeState, (received,) + state[1:]), []
 
 
 def init_node(degree, rules):
@@ -467,9 +438,8 @@ def init_node(degree, rules):
     Degree-0 nodes satisfy the leader rule vacuously and halt at once;
     degree-1 nodes fire their upstream quota through their only port.
     """
-    state = NodeState(degree)
-    actions = _evaluate(state, rules)
-    return state, actions
+    zeros = (0,) * degree
+    return _evaluate(NodeState(zeros, zeros), rules, zeros)
 
 
 def on_deliver(state, rules, port):
@@ -481,86 +451,75 @@ def on_deliver(state, rules, port):
     declares itself a non-leader, and halts. Deliveries to halted nodes
     are the simulator's business and never reach this function.
     """
-    state = state.copy()
-    state.received[port] += 1
-    if state.downstream_active and port == state.up_port:
+    received = _bump(state.received, port)
+    up_port = state.up_port
+    if state.downstream_active and port == up_port:
+        sent = list(state.sent)
         actions = []
-        for p in range(state.degree):
-            if p != state.up_port:
+        for p in range(len(sent)):
+            if p != up_port:
                 actions.append(Send(p, 1, CAT_BROADCAST))
-                state.sent[p] += 1
-        state._set_output(NONLEADER)
-        actions.append(Declare(NONLEADER))
-        state.halted = True
-        actions.append(Halt())
-        return state, actions
-    return state, _evaluate(state, rules)
+                sent[p] += 1
+        output = _set_output(state.output, NONLEADER)
+        actions += (Declare(NONLEADER), Halt())
+        return _new(NodeState, (received, tuple(sent), up_port, True,
+                                state.leader_armed, output, True)
+                    + state[7:]), actions
+    return _evaluate(state, rules, received)
 
 
-def stabilizing_state(degree, node_id):
-    """Fresh stabilizing node: all neighbors live, output non-leader."""
-    state = NodeState(degree, node_id=node_id)
-    state.leader_armed = False
-    state.live = set(range(degree))
-    state.output = NONLEADER
-    return state
+def init_stabilizing(degree, node_id):
+    """Fresh stabilizing node state plus its initialization actions.
+
+    Every neighbor starts live and the output non-leader. A degree-1
+    node is a leaf from the start and announces itself with one pulse;
+    an isolated vertex has no one to beat and wins at once. Its switch
+    to Leader is a revision of the non-leader start, not a latch break.
+    """
+    zeros = (0,) * degree
+    if degree == 0:
+        return (NodeState(zeros, zeros, leader_armed=False, output=LEADER,
+                          halted=True, live=(), node_id=node_id),
+                [Declare(LEADER), Halt()])
+    if degree == 1:
+        return (NodeState(zeros, (1,), leader_armed=False, output=NONLEADER,
+                          is_leaf=True, live=(0,), node_id=node_id),
+                [Send(0, 1, CAT_LEAF)])
+    return NodeState(zeros, zeros, leader_armed=False, output=NONLEADER,
+                     live=tuple(range(degree)), node_id=node_id), []
 
 
-def _become_leaf(state, actions):
-    state.is_leaf = True
-    port = next(iter(state.live))
-    state.sent[port] += 1
-    actions.append(Send(port, 1, CAT_LEAF))
+def stabilizing_step(state, port):
+    """Deliver one pulse on the given port of a stabilizing node.
 
-
-def _start_stabilizing(state):
-    """Apply the init event to a stabilizing state in place; returns
-    the actions. Only for a state no one else holds yet."""
-    actions = []
-    if state.degree == 0:
-        # A stabilizing node starts with output NonLeader, so the
-        # winner's switch to Leader is a revision, not a latch break.
-        state.output = LEADER
-        actions.append(Declare(LEADER))
-        state.halted = True
-        actions.append(Halt())
-    elif state.degree == 1:
-        _become_leaf(state, actions)
-    return actions
-
-
-def stabilizing_step(state, event):
-    """One transition of the stabilizing automaton.
-
-    event is ("init",) or ("deliver", port). A node sends a single
+    Returns the successor state and actions. A node sends a single
     pulse when it first becomes a leaf; a pulse received before that
     retires the sending neighbor, possibly making the node a leaf in
     turn; a pulse received as a leaf starts the election, sending one
     pulse per unit of the node's ID; the election is won, with a Leader
-    declaration and halt, once ID-many pulses have come back. An
-    isolated vertex has no one to beat and declares immediately.
+    declaration and halt, once ID-many pulses have come back.
     """
-    state = state.copy()
-    if event[0] == "init":
-        return state, _start_stabilizing(state)
+    (received, sent, up_port, downstream_active, leader_armed, output,
+     halted, is_leaf, live, needed, got, node_id) = state
+    received = _bump(received, port)
     actions = []
-    port = event[1]
-    state.received[port] += 1
-    if state.needed is not None:
-        state.got += 1
-        if state.got >= state.needed:
-            state.output = LEADER
-            actions.append(Declare(LEADER))
-            state.halted = True
-            actions.append(Halt())
-    elif state.is_leaf:
-        state.needed = state.node_id
-        state.got = 0
-        out = next(iter(state.live))
-        state.sent[out] += state.node_id
-        actions.append(Send(out, state.node_id, CAT_ELECTION))
+    if needed is not None:
+        got += 1
+        if got >= needed:
+            output = LEADER
+            halted = True
+            actions = [Declare(LEADER), Halt()]
+    elif is_leaf:
+        needed = node_id
+        got = 0
+        sent = _bump(sent, live[0], node_id)
+        actions = [Send(live[0], node_id, CAT_ELECTION)]
     else:
-        state.live.discard(port)
-        if len(state.live) == 1:
-            _become_leaf(state, actions)
-    return state, actions
+        live = tuple([p for p in live if p != port])
+        if len(live) == 1:
+            is_leaf = True
+            sent = _bump(sent, live[0])
+            actions = [Send(live[0], 1, CAT_LEAF)]
+    return _new(NodeState, (received, sent, up_port, downstream_active,
+                            leader_armed, output, halted, is_leaf, live,
+                            needed, got, node_id)), actions

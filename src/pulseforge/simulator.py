@@ -23,7 +23,6 @@ from .protocol import (
     Declare,
     Halt,
     Send,
-    _start_stabilizing,
     compile_even_rules,
     compile_general_rules,
     OddDiameterError,
@@ -77,7 +76,7 @@ class NetworkState:
     indices of the nonempty directed edges; `in_flight_total`;
     `halted_count`; and `leaders`, the ascending vertices that declared
     LEADER. check_conservation() compares them with a full scan.
-    Node states are shared between clones and never changed in place.
+    Node states are immutable values, shared between clones.
     """
 
     __slots__ = ("topology", "algorithm", "rules", "ids", "layering",
@@ -116,8 +115,8 @@ class NetworkState:
         self.in_flight_total = 0
         for v in range(topology.n):
             if algorithm == "stabilizing":
-                state = protocol.stabilizing_state(topology.degree(v), ids[v])
-                actions = _start_stabilizing(state)
+                state, actions = protocol.init_stabilizing(topology.degree(v),
+                                                           ids[v])
             else:
                 state, actions = protocol.init_node(topology.degree(v), rules)
             self.node_states.append(state)
@@ -159,8 +158,7 @@ class NetworkState:
         return c
 
     def key(self):
-        return (tuple(s.key() for s in self.node_states),
-                tuple(self.in_flight))
+        return tuple(self.node_states), tuple(self.in_flight)
 
     def edge_index(self, u, v):
         return self.offset[u] + self.topology.port_to(u, v)
@@ -286,12 +284,18 @@ def _react(algorithm, rules, node_state, port):
     wrapper put there sees every call.
     """
     if algorithm == "stabilizing":
-        return protocol.stabilizing_step(node_state, ("deliver", port))
+        return protocol.stabilizing_step(node_state, port)
     return protocol.on_deliver(node_state, rules, port)
 
 
 def _digest(node_state):
-    return hashlib.sha1(repr(node_state.key()).encode()).hexdigest()[:12]
+    """Short hash of a node state for traces.
+
+    It hashes the repr of the first eleven fields. They keep the order
+    of the per-node key that trace digests have always hashed, and
+    node_id stays out, so recorded digests stay valid.
+    """
+    return hashlib.sha1(repr(node_state[:11]).encode()).hexdigest()[:12]
 
 
 def _action_brief(act):
@@ -571,9 +575,9 @@ def explore_all_schedules(t, algorithm, ids=None, *, max_states=10 ** 6):
 
     Depth-first with an explicit stack and a visited set; the branch
     point is which nonempty directed edge delivers next. Distinct node
-    states are interned per (node ID, NodeState.key()), so a global
-    state is one flat tuple: n interned indices, then the m in-flight
-    counters. It partitions states exactly as NetworkState.key() does.
+    states are interned, so a global state is one flat tuple: n
+    interned indices, then the m in-flight counters. It partitions
+    states exactly as NetworkState.key() does.
     Pulses carry no content, so a live node's reply depends only on its
     state and the arrival port; each (index, port) step is computed once
     and stored with its sends relative to the sender's first edge.
@@ -581,8 +585,12 @@ def explore_all_schedules(t, algorithm, ids=None, *, max_states=10 ** 6):
     Terminal states (nothing in flight) are grouped into classes by
     leader, outputs, and per-directed-edge send totals. Per-transition
     bookkeeping feeds the direction and quiescence checks. Raises
-    StateCapExceededError beyond max_states.
+    StateCapExceededError beyond max_states, and ValueError when
+    max_states is below 1.
     """
+    if max_states < 1:
+        raise ValueError("max_states must be at least 1, got %d"
+                         % max_states)
     root = new_simulation(t, algorithm, ids)
     rules = root.rules
     offset = root.offset
@@ -592,17 +600,16 @@ def explore_all_schedules(t, algorithm, ids=None, *, max_states=10 ** 6):
     layering = root.layering
     wrong_way = [layering is not None and layering.parent_of[u] != v
                  for u, v in root.dir_edges]
-    index = {}    # (node_id, NodeState.key()) -> interned index
+    index = {}    # NodeState -> interned index
     nodes = []    # interned index -> NodeState
     halted = []   # interned index -> NodeState.halted
     moves = {}    # (index, port) -> (next index, ((port, count), ...),
                   #                   declares LEADER)
 
     def intern(ns):
-        k = (ns.node_id, ns.key())
-        i = index.get(k)
+        i = index.get(ns)
         if i is None:
-            i = index[k] = len(nodes)
+            i = index[ns] = len(nodes)
             nodes.append(ns)
             halted.append(ns.halted)
         return i

@@ -1,6 +1,9 @@
 import dataclasses
 import importlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -195,6 +198,31 @@ def test_sweep_rejects_an_empty_seed_range(capsys, seeds):
     assert out == ""
     assert err.startswith("error: ") and "--seeds" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("tree", ["single", "c5"])
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_mc_rejects_a_state_cap_below_one(capsys, tree, cap):
+    code, out, err = run_cli(capsys, "mc", "--tree", tree, "--alg",
+                             "general", "--max-states", cap)
+    assert code == 2
+    assert out == ""
+    assert err == ("error: ValueError: max_states must be at least 1, "
+                   "got %s\n" % cap)
+
+
+def test_python_m_pulseforge_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(pulseforge.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pulseforge", "run", "--tree", "single",
+         "--alg", "general"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["status"] == "terminated"
 
 
 @pytest.mark.parametrize("alg,extra", [("even", []), ("general", []),

@@ -24,9 +24,9 @@ from pulseforge.protocol import (
     compile_even_rules,
     compile_general_rules,
     init_node,
+    init_stabilizing,
     match_trigger,
     on_deliver,
-    stabilizing_state,
     stabilizing_step,
 )
 from pulseforge.topology import TreeTopology
@@ -119,11 +119,6 @@ def test_match_trigger_picks_lowest_port_on_ties():
     assert match_trigger([2, 2], (2,), 2) == 0
 
 
-def test_match_trigger_respects_forced_remaining():
-    assert match_trigger([0, 2], (2,), 0, forced_remaining=0) == 0
-    assert match_trigger([2, 0], (2,), 0, forced_remaining=0) is None
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_match_trigger_matches_brute_force(data):
@@ -133,9 +128,8 @@ def test_match_trigger_matches_brute_force(data):
     trigger = tuple(data.draw(st.lists(counts, min_size=d - 1,
                                        max_size=d - 1)))
     required = data.draw(st.integers(0, 2))
-    forced = data.draw(st.none() | st.integers(0, d - 1))
-    assert match_trigger(received, trigger, required, forced) == \
-        oracles.brute_force_match_trigger(received, trigger, required, forced)
+    assert match_trigger(received, trigger, required) == \
+        oracles.brute_force_match_trigger(received, trigger, required)
 
 
 UPSTREAM_RULE_SETS = (
@@ -167,11 +161,9 @@ def test_upstream_choice_matches_brute_force(data):
     received = data.draw(st.lists(st.sampled_from(near), min_size=d,
                                   max_size=d))
     up_port = data.draw(st.none() | st.integers(0, d - 1))
-    state = NodeState(d)
-    state.received = list(received)
-    state.up_port = up_port
-    state.leader_armed = False
-    actions = _evaluate(state, rules)
+    state = NodeState(tuple(received), (0,) * d, up_port=up_port,
+                      leader_armed=False)
+    state, actions = _evaluate(state, rules, state.received)
     best = oracles.brute_force_upstream(received, pairs, up_port)
     if best is None:
         assert actions == []
@@ -206,11 +198,9 @@ def test_memoised_upstream_match_equals_brute_force_when_warm(data):
     best = oracles.brute_force_upstream(received, pairs, up_port)
     # The second evaluation meets what the first left in the memo.
     for _ in range(2):
-        state = NodeState(d)
-        state.received = list(received)
-        state.up_port = up_port
-        state.leader_armed = False
-        actions = _evaluate(state, rules)
+        state = NodeState(tuple(received), (0,) * d, up_port=up_port,
+                          leader_armed=False)
+        state, actions = _evaluate(state, rules, state.received)
         if best is None:
             assert actions == []
             assert state.up_port == up_port
@@ -337,13 +327,13 @@ def test_no_leader_after_upstream_commitment():
 
 
 def test_stabilizing_degree0_wins_at_init():
-    state, actions = stabilizing_step(stabilizing_state(0, 7), ("init",))
+    state, actions = init_stabilizing(0, 7)
     assert Declare(LEADER) in actions and Halt() in actions
     assert state.output == LEADER
 
 
 def test_stabilizing_leaf_announces_at_init():
-    state, actions = stabilizing_step(stabilizing_state(1, 4), ("init",))
+    state, actions = init_stabilizing(1, 4)
     (s,) = sends(actions)
     assert (s.port, s.count, s.category) == (0, 1, CAT_LEAF)
     assert state.is_leaf
@@ -351,11 +341,11 @@ def test_stabilizing_leaf_announces_at_init():
 
 
 def test_stabilizing_interior_removes_and_cascades():
-    state, actions = stabilizing_step(stabilizing_state(3, 9), ("init",))
+    state, actions = init_stabilizing(3, 9)
     assert actions == []
-    state, actions = stabilizing_step(state, ("deliver", 0))
-    assert actions == [] and state.live == {1, 2}
-    state, actions = stabilizing_step(state, ("deliver", 2))
+    state, actions = stabilizing_step(state, 0)
+    assert actions == [] and state.live == (1, 2)
+    state, actions = stabilizing_step(state, 2)
     # down to one live neighbor: becomes a leaf toward port 1
     (s,) = sends(actions)
     assert (s.port, s.category) == (1, CAT_LEAF)
@@ -364,23 +354,23 @@ def test_stabilizing_interior_removes_and_cascades():
 
 def test_stabilizing_election_win_and_block():
     # a 2-path by hand: ids 3 (this node) vs 5 (the other side)
-    me, actions = stabilizing_step(stabilizing_state(1, 3), ("init",))
-    me, actions = stabilizing_step(me, ("deliver", 0))
+    me, actions = init_stabilizing(1, 3)
+    me, actions = stabilizing_step(me, 0)
     (s,) = sends(actions)
     assert (s.count, s.category) == (3, CAT_ELECTION)
     assert me.needed == 3
     for _ in range(2):
-        me, actions = stabilizing_step(me, ("deliver", 0))
+        me, actions = stabilizing_step(me, 0)
         assert actions == []
-    me, actions = stabilizing_step(me, ("deliver", 0))
+    me, actions = stabilizing_step(me, 0)
     assert Declare(LEADER) in actions and Halt() in actions
     assert me.output == LEADER
 
-    other, _ = stabilizing_step(stabilizing_state(1, 5), ("init",))
-    other, _ = stabilizing_step(other, ("deliver", 0))
+    other, _ = init_stabilizing(1, 5)
+    other, _ = stabilizing_step(other, 0)
     assert other.needed == 5
     for _ in range(3):
-        other, actions = stabilizing_step(other, ("deliver", 0))
+        other, actions = stabilizing_step(other, 0)
         assert actions == []
     assert other.got == 3 and not other.halted
     assert other.output == NONLEADER
@@ -389,18 +379,27 @@ def test_stabilizing_election_win_and_block():
 def test_on_deliver_does_not_mutate_input():
     rules = compile_even_rules(2)
     state, _ = init_node(2, rules)
-    frozen = state.key()
+    frozen = NodeState(*state)
     on_deliver(state, rules, 0)
-    assert state.key() == frozen
+    assert state == frozen
 
 
-def test_key_is_kept_per_object_and_reset_by_copy():
-    state, _ = init_node(2, compile_even_rules(2))
-    assert state.key() is state.key()
-    other = state.copy()
-    other.received[0] += 1
-    assert other.key() != state.key()
-    assert other.key()[0] == (1, 0)
+def test_node_state_is_an_immutable_value():
+    rules = compile_even_rules(4)
+    start, _ = init_node(3, rules)
+    a, b = start, start
+    for port in (0, 1, 0):
+        a, _ = on_deliver(a, rules, port)
+    for port in (1, 0, 0):
+        b, _ = on_deliver(b, rules, port)
+    # Two delivery orders that end on the same counters give one value.
+    assert a is not b
+    assert a == b and hash(a) == hash(b) and len({a, b, start}) == 2
+    assert a.received == (2, 1, 0)
+    with pytest.raises(AttributeError):
+        a.received = (0, 0, 0)
+    for name in ("copy", "key", "_key"):
+        assert not hasattr(a, name)
 
 
 def test_describe_is_stable():

@@ -1,4 +1,3 @@
-import copy
 import hashlib
 import itertools
 import json
@@ -151,8 +150,7 @@ def test_tiny_budget_reports_exhaustion():
 
 def test_delivery_to_halted_is_absorbed_and_flagged():
     s = new_simulation(c5(), "general")
-    s.node_states[2] = s.node_states[2].copy()
-    s.node_states[2].halted = True
+    s.node_states[2] = s.node_states[2]._replace(halted=True)
     nxt = step(s, (1, 2))
     assert nxt.deliveries_to_halted == 1
     assert nxt.node_states[2].received == s.node_states[2].received
@@ -275,6 +273,13 @@ def test_state_cap_raises():
         explore_all_schedules(path(5), "even", max_states=3)
 
 
+@pytest.mark.parametrize("cap", [0, -5])
+def test_state_cap_below_one_is_rejected(cap):
+    for t in (TreeTopology(1, []), c5()):
+        with pytest.raises(ValueError, match="max_states must be at least 1"):
+            explore_all_schedules(t, "general", max_states=cap)
+
+
 def test_explore_matches_random_runs():
     # every class found exhaustively is reachable; random runs must land
     # in one of them
@@ -362,9 +367,8 @@ def test_check_conservation_catches_stale_fields():
             broken.check_conservation()
     # A sender whose own counter disagrees with the per-edge total.
     broken = s.clone()
-    leaf = broken.node_states[1].copy()
-    leaf.sent[0] += 1
-    broken.node_states[1] = leaf
+    leaf = broken.node_states[1]
+    broken.node_states[1] = leaf._replace(sent=(leaf.sent[0] + 1,))
     with pytest.raises(AssertionError, match="sent_edges"):
         broken.check_conservation()
 
@@ -477,6 +481,30 @@ def test_seeded_schedules_are_pinned(name, algorithm, seed, want,
             o.total_pulses, by_category, o.leader) == want
     edges = json.dumps([e["edge"] for e in o.trace]).encode()
     assert hashlib.sha256(edges).hexdigest()[:16] == edges_digest
+
+
+# (tree, algorithm, SeededRandom seed) -> sha256 of the run's
+# receiver_state_digest sequence, one digest per line. A change to what
+# a node state holds, or to how a trace hashes it, moves these, and a
+# recorded trace then no longer replays.
+TRACE_DIGESTS = [
+    ("path7", "even", 1, "df21dc601b98ad47"),
+    ("binary4", "even", 40, "da9577645c4ff8f2"),
+    ("c5", "general", 0, "a854f70e38c92388"),
+    ("asym30", "general", 5, "062455a9d3e41029"),
+    ("star7", "stabilizing", 9, "29e86b8617325db0"),
+    ("rand14", "stabilizing", 8, "fad14941d685768d"),
+]
+
+
+@pytest.mark.parametrize("name,algorithm,seed,want", TRACE_DIGESTS)
+def test_trace_state_digests_are_pinned(name, algorithm, seed, want):
+    t = _golden_tree(name)
+    ids = _ids(t.n, seed) if algorithm == "stabilizing" else None
+    o = run(new_simulation(t, algorithm, ids, record_trace=True),
+            SeededRandom(seed), 10 ** 6)
+    digests = "\n".join(e["receiver_state_digest"] for e in o.trace)
+    assert hashlib.sha256(digests.encode()).hexdigest()[:16] == want
 
 
 def _pinned_instances():
@@ -616,21 +644,19 @@ def test_rule_memo_is_shared_and_changes_nothing(monkeypatch):
 
 
 def _snapshot(state):
-    """The state's key, and every node state it holds with all its
-    fields read directly, not through the memoised key."""
-    fields = [slot for slot in NodeState.__slots__ if slot != "_key"]
+    """The state's key, and every node state it holds together with an
+    equal value built apart from it."""
     return (state.key(),
-            [(ns, {f: copy.deepcopy(getattr(ns, f)) for f in fields})
-             for ns in state.node_states])
+            [(ns, NodeState(*ns)) for ns in state.node_states])
 
 
 def _assert_unchanged(state, snap):
     key, nodes = snap
     assert state.key() == key
     assert len(state.node_states) == len(nodes)
-    for ns, (held, fields) in zip(state.node_states, nodes):
+    for ns, (held, value) in zip(state.node_states, nodes):
         assert ns is held
-        assert {f: getattr(ns, f) for f in fields} == fields
+        assert ns == value
 
 
 @pytest.mark.parametrize("t,algorithm,ids", [
@@ -795,12 +821,14 @@ def _faulty_on_deliver(real):
     def on_deliver(state, rules, port):
         state, actions = real(state, rules, port)
         if state.output == NONLEADER:
-            state.output = LEADER
+            state = state._replace(output=LEADER)
             actions = [Declare(LEADER) if isinstance(a, Declare) else a
                        for a in actions]
         if any(isinstance(a, Send) and a.category == CAT_UPSTREAM
                for a in actions):
-            state.sent[port] += 1
+            sent = list(state.sent)
+            sent[port] += 1
+            state = state._replace(sent=tuple(sent))
             actions.append(Send(port, 1, CAT_UPSTREAM))
         return state, actions
     return on_deliver
