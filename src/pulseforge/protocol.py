@@ -86,11 +86,6 @@ class UpstreamRule:
     target: int
     source_index: int
 
-    def trigger_for(self, d):
-        if self.degree is None:
-            return (self.threshold,) * (d - 1)
-        return self.trigger
-
 
 @dataclass(frozen=True)
 class LeaderRule:
@@ -126,21 +121,15 @@ class RuleSet:
         self._floor = {}
 
     def triggers_for_degree(self, d):
-        """(target, trigger) of every upstream rule a degree-d node obeys.
-
-        Triggers are sorted descending and the pairs come in order of
-        falling target. Filled in once per degree: the even algorithm's
-        threshold rules fit any degree, so its degrees are not known
-        when the rules are compiled.
+        """(target, trigger) of every fixed-degree upstream rule for
+        degree d, in order of falling target; filled in once per degree.
         """
         found = self._by_degree.get(d)
         if found is None:
-            found = tuple(sorted(
-                ((rule.target,
-                  tuple(sorted(rule.trigger_for(d), reverse=True)))
-                 for rule in self.upstream if rule.degree in (None, d)),
+            found = self._by_degree[d] = tuple(sorted(
+                ((rule.target, rule.trigger)
+                 for rule in self.upstream if rule.degree == d),
                 reverse=True))
-            self._by_degree[d] = found
         return found
 
     def upstream_quota(self, d, rest):
@@ -148,16 +137,24 @@ class RuleSet:
         non-remaining ports hold rest (a tuple sorted descending); None
         when no rule matches.
 
-        The answer depends on the rules alone, so it is memoised in one
-        dict per degree, keyed by rest, and every state that holds this
-        RuleSet (clones, steps, an exploration) shares it. A rest that
-        is below every trigger at its first or last entry can match no
-        rule; it is answered without a scan and kept out of the memo. A
-        miss scans triggers_for_degree(d): targets are distinct and
-        come falling, so the first trigger rest dominates carries the
-        largest quota, and a trigger whose largest entry exceeds rest's
-        largest cannot be dominated.
+        An even rule set answers in closed form: rule i asks for at
+        least i+1 pulses on every non-remaining port, so the largest
+        quota that matches is min(r, rest[-1] - 1), or r when there is
+        no other port, and none below 1.
+
+        A general answer depends on the rules alone, so it is memoised
+        in one dict per degree, keyed by rest, and every state that
+        holds this RuleSet (clones, steps, an exploration) shares it. A
+        rest that is below every trigger at its first or last entry can
+        match no rule; it is answered without a scan and kept out of the
+        memo. A miss scans triggers_for_degree(d): targets are distinct
+        and come falling, so the first trigger rest dominates carries
+        the largest quota, and a trigger whose largest entry exceeds
+        rest's largest cannot be dominated.
         """
+        if self.algorithm == "even":
+            quota = min(self.radius, rest[-1] - 1) if rest else self.radius
+            return quota if quota >= 1 else None
         memo = self._quota_memo.get(d)
         if memo is None:
             memo = self._quota_memo[d] = {}
@@ -384,7 +381,7 @@ def match_trigger(received, trigger, remaining_required=0):
 
 def _leader_matches(received, rule):
     if rule.variant == "every_port_once":
-        return all(c >= 1 for c in received)
+        return 0 not in received
     if rule.degree != len(received):
         return False
     if rule.variant == "all_ports":

@@ -4,9 +4,13 @@ In-flight traffic is a nonnegative counter per directed edge: pulses
 carry nothing and are attributed only to their arrival port, so a
 multiset of them is fully described by its size. A scheduler picks
 which nonempty directed edge delivers next; delivery invokes the
-receiver's automaton and enqueues whatever it sends. On top of the
-single-run loop sits an exhaustive explorer that walks every reachable
-interleaving of small instances with memoized states.
+receiver's automaton and enqueues whatever it sends. An even node has
+no identity, so its reply depends only on its state and the arrival
+port: even runs memoise that step across vertices, within a memory
+bound set by the tree, and a wrapper on protocol.on_deliver sees only
+the steps the memo misses. On top of the single-run loop sits an
+exhaustive explorer that walks every reachable interleaving of small
+instances with memoized states.
 """
 
 from __future__ import annotations
@@ -64,6 +68,25 @@ def _normalize_ids(t, ids):
     return ids
 
 
+class StepMemo(dict):
+    """The even automaton's local step, memoised across vertices.
+
+    Maps (receiver NodeState, arrival port) to (successor, actions as a
+    tuple, declares LEADER). An even node has no identity, so the same
+    step recurs at vertex after vertex. room is how many more counters
+    (one per port) the stored keys may hold; it starts at the network's
+    directed-edge count. A state that does not fit is stepped without
+    the memo, neither looked up nor stored, so a hub's states neither
+    fill memory nor cost a hash of all their counters per delivery.
+    """
+
+    __slots__ = ("room",)
+
+    def __init__(self, room):
+        super().__init__()
+        self.room = room
+
+
 class NetworkState:
     """Full simulation state: topology, node automata, pulse counters.
 
@@ -76,7 +99,9 @@ class NetworkState:
     indices of the nonempty directed edges; `in_flight_total`;
     `halted_count`; and `leaders`, the ascending vertices that declared
     LEADER. check_conservation() compares them with a full scan.
-    Node states are immutable values, shared between clones.
+    Node states are immutable values, shared between clones. Even runs
+    also share one StepMemo, `moves`; it is None for the other
+    algorithms.
     """
 
     __slots__ = ("topology", "algorithm", "rules", "ids", "layering",
@@ -84,7 +109,7 @@ class NetworkState:
                  "sent_by_category", "deliveries", "deliveries_to_halted",
                  "leader_step", "in_flight_at_leader", "violation",
                  "trace", "offset", "dir_edges", "enabled", "in_flight_total",
-                 "halted_count", "leaders")
+                 "halted_count", "leaders", "moves")
 
     def __init__(self, topology, algorithm, rules, ids, layering,
                  record_trace=False):
@@ -113,12 +138,19 @@ class NetworkState:
         self.trace = [] if record_trace else None
         self.enabled = []
         self.in_flight_total = 0
+        self.moves = StepMemo(total) if algorithm == "even" else None
+        # A rule-driven start depends on the degree alone, so each
+        # degree's state and actions are built once and shared.
+        starts = {}
         for v in range(topology.n):
+            d = topology.degree(v)
             if algorithm == "stabilizing":
-                state, actions = protocol.init_stabilizing(topology.degree(v),
-                                                           ids[v])
+                state, actions = protocol.init_stabilizing(d, ids[v])
             else:
-                state, actions = protocol.init_node(topology.degree(v), rules)
+                start = starts.get(d)
+                if start is None:
+                    start = starts[d] = protocol.init_node(d, rules)
+                state, actions = start
             self.node_states.append(state)
             if state.output == LEADER:
                 # Only an isolated vertex declares at init, with
@@ -155,6 +187,7 @@ class NetworkState:
         c.in_flight_total = self.in_flight_total
         c.halted_count = self.halted_count
         c.leaders = list(self.leaders)
+        c.moves = self.moves
         return c
 
     def key(self):
@@ -220,25 +253,29 @@ class NetworkState:
                  if s.output == LEADER])
 
     def _apply_sends(self, sender, actions):
+        in_flight = self.in_flight
+        base = self.offset[sender]
         for act in actions:
             if isinstance(act, Send):
-                ei = self.offset[sender] + act.port
-                if not self.in_flight[ei]:
+                ei = base + act.port
+                count = act.count
+                if not in_flight[ei]:
                     insort(self.enabled, ei)
-                self.in_flight[ei] += act.count
-                self.in_flight_total += act.count
-                self.sent_edges[ei] += act.count
-                self.sent_by_category[act.category] += act.count
+                in_flight[ei] += count
+                self.in_flight_total += count
+                self.sent_edges[ei] += count
+                self.sent_by_category[act.category] += count
 
     def _deliver(self, ei):
         """Deliver one pulse along directed edge index ei (mutating)."""
-        if self.in_flight[ei] == 0:
+        in_flight = self.in_flight
+        if not in_flight[ei]:
             raise NoPulseInFlightError("no pulse in flight on %r"
                                        % (self.dir_edges[ei],))
         u, v = self.dir_edges[ei]
-        self.in_flight[ei] -= 1
+        in_flight[ei] -= 1
         self.in_flight_total -= 1
-        if not self.in_flight[ei]:
+        if not in_flight[ei]:
             del self.enabled[bisect_left(self.enabled, ei)]
         self.delivered_edges[ei] += 1
         self.deliveries += 1
@@ -252,14 +289,23 @@ class NetworkState:
                 self.violation = (v, self.deliveries)
             actions = ()
         else:
-            new_state, actions = _react(self.algorithm, self.rules, receiver,
-                                        self.topology.port_to(v, u))
+            port = self.topology.port_to(v, u)
+            moves = self.moves
+            if moves is None or len(receiver.received) > moves.room:
+                new_state, actions, declares = _react(
+                    self.algorithm, self.rules, receiver, port)
+            else:
+                found = moves.get((receiver, port))
+                if found is None:
+                    found = _react(self.algorithm, self.rules, receiver, port)
+                    moves.room -= len(receiver.received)
+                    moves[receiver, port] = found
+                new_state, actions, declares = found
             self.node_states[v] = new_state
             if new_state.halted:
                 self.halted_count += 1
             if actions:
-                if any(isinstance(a, Declare) and a.output == LEADER
-                       for a in actions):
+                if declares:
                     insort(self.leaders, v)
                     # Snapshot before the leader's own broadcast goes
                     # out: this is the count the quiescence claim is
@@ -278,14 +324,19 @@ class NetworkState:
 
 
 def _react(algorithm, rules, node_state, port):
-    """A live node's successor state and actions for one pulse on port.
+    """A live node's successor state, its actions as a tuple, and
+    whether they declare LEADER, for one pulse on port.
 
     The automata are reached as attributes of the protocol module, so a
     wrapper put there sees every call.
     """
     if algorithm == "stabilizing":
-        return protocol.stabilizing_step(node_state, port)
-    return protocol.on_deliver(node_state, rules, port)
+        new_state, actions = protocol.stabilizing_step(node_state, port)
+    else:
+        new_state, actions = protocol.on_deliver(node_state, rules, port)
+    declares = bool(actions) and any(
+        isinstance(a, Declare) and a.output == LEADER for a in actions)
+    return new_state, tuple(actions), declares
 
 
 def _digest(node_state):
@@ -312,9 +363,12 @@ def new_simulation(t, algorithm, ids=None, *, record_trace=False):
     """Initialized NetworkState for one algorithm on one tree.
 
     The even algorithm needs an even diameter, the general one an
-    asymmetric tree, the stabilizing one distinct positive IDs. All
-    initialization pulses are already in flight on return.
+    asymmetric tree, the stabilizing one distinct positive IDs; the
+    rule-driven ones are anonymous and refuse IDs. All initialization
+    pulses are already in flight on return.
     """
+    if algorithm in ("even", "general") and ids is not None:
+        raise ValueError("the %s algorithm takes no IDs" % algorithm)
     if algorithm == "even":
         layering = layer_decomposition(t)
         if layering.diameter % 2 != 0:
@@ -615,11 +669,9 @@ def explore_all_schedules(t, algorithm, ids=None, *, max_states=10 ** 6):
         return i
 
     def move(i, port):
-        ns, actions = _react(algorithm, rules, nodes[i], port)
+        ns, actions, declares = _react(algorithm, rules, nodes[i], port)
         sends = tuple((a.port, a.count) for a in actions
                       if isinstance(a, Send))
-        declares = any(isinstance(a, Declare) and a.output == LEADER
-                       for a in actions)
         moves[i, port] = found = (intern(ns), sends, declares)
         return found
 

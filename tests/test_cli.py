@@ -113,6 +113,18 @@ def test_run_duplicate_ids_rejected(capsys):
     assert "DuplicateIds" in err
 
 
+@pytest.mark.parametrize("command,alg,tree,ids", [
+    ("run", "even", "path3", "1,2,3"),
+    ("mc", "general", "c5", "1,2,3,4,5"),
+])
+def test_rule_driven_algorithms_reject_ids(capsys, command, alg, tree, ids):
+    code, out, err = run_cli(capsys, command, "--tree", tree, "--alg", alg,
+                             "--ids", ids)
+    assert code == 2
+    assert out == ""
+    assert err == "error: ValueError: the %s algorithm takes no IDs\n" % alg
+
+
 def test_run_tiny_budget_fails_checks(capsys):
     code, out, err = run_cli(capsys, "run", "--tree", "path7",
                              "--alg", "even", "--budget", "2")

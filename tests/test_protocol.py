@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -174,9 +176,10 @@ def test_upstream_choice_matches_brute_force(data):
         assert actions == [Send(port, quota, CAT_UPSTREAM)]
 
 
-# Long-lived rule sets: every example below evaluates on the same two,
-# so later examples meet a memo that earlier ones filled.
-WARM_RULE_SETS = (compile_even_rules(8),
+# Long-lived rule sets: every example below evaluates on the same
+# ones, so later examples meet a memo that earlier ones filled. Even
+# sets answer in closed form and keep no memo; r = 0 has no rules.
+WARM_RULE_SETS = (compile_even_rules(8), compile_even_rules(0),
                   compile_general_rules(random_asymmetric_tree(60, 4)))
 
 
@@ -208,11 +211,25 @@ def test_memoised_upstream_match_equals_brute_force_when_warm(data):
             quota, port = best
             assert state.up_port == port
             assert actions == [Send(port, quota, CAT_UPSTREAM)]
-    if best is not None:
+    if best is not None and rules.algorithm == "general":
         quota, port = best
         rest = tuple(sorted(received[:port] + received[port + 1:],
                             reverse=True))
         assert rules._quota_memo[d][rest] == quota
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 5])
+def test_even_closed_form_quota_equals_brute_force(r):
+    rules = compile_even_rules(2 * r)
+    # d = 1 leaves rest == (): every rule matches a leaf, so it gets r.
+    assert rules.upstream_quota(1, ()) == (r or None)
+    for d in range(1, 4):
+        pairs = _quota_triggers(rules, d)
+        for rest in itertools.product(range(r + 3), repeat=d - 1):
+            rest = tuple(sorted(rest, reverse=True))
+            best = oracles.brute_force_upstream((0,) + rest, pairs, 0)
+            assert rules.upstream_quota(d, rest) == (best and best[0])
+    assert rules._quota_memo == {}
 
 
 def test_init_leaf_sends_radius_even():

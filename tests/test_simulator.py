@@ -39,6 +39,7 @@ from pulseforge.harness import (
     random_asymmetric_tree,
     random_tree,
     resolve_tree,
+    star_tree,
 )
 
 
@@ -641,6 +642,86 @@ def test_rule_memo_is_shared_and_changes_nothing(monkeypatch):
                         lambda tree: seen[0])
     assert explore_all_schedules(small, "general").to_dict() == cold_report
     assert reference_explore(small, "general").to_dict() == cold_report
+
+
+def _even_trees():
+    trees = [binary(4), path(7)]
+    seed = 0
+    while len(trees) < 12:
+        seed += 1
+        t = random_tree(5 + seed % 20, seed)
+        if layer_decomposition(t).diameter % 2 == 0:
+            trees.append(t)
+    return trees
+
+
+def _schedulers(s, seed):
+    """A seeded, a round-robin and a scripted scheduler; the script
+    replays the first half of the seeded run's edges."""
+    traced = run(s, SeededRandom(seed + 1), 10 ** 6).trace
+    script = [tuple(e["edge"]) for e in traced[:len(traced) // 2]]
+    return [lambda: SeededRandom(seed), RoundRobin,
+            lambda: AdversaryScript(script)]
+
+
+@pytest.mark.parametrize("t", _even_trees(), ids=lambda t: "n%d" % t.n)
+def test_step_memo_changes_no_outcome_or_trace(t):
+    s = new_simulation(t, "even", record_trace=True)
+    assert s.clone().moves is s.moves
+    assert step(s, s.dir_edges[s.enabled_edges()[0]]).moves is s.moves
+    for make in _schedulers(new_simulation(t, "even", record_trace=True),
+                            t.n):
+        cold_state = new_simulation(t, "even", record_trace=True)
+        cold = run(cold_state, make(), 10 ** 6)
+        # A run with another seed warms the memo first.
+        run(cold_state, SeededRandom(t.n + 7), 10 ** 6)
+        warm = run(cold_state, make(), 10 ** 6)
+        bare_state = new_simulation(t, "even", record_trace=True).clone()
+        bare_state.moves = None
+        bare = run(bare_state, make(), 10 ** 6)
+        assert cold.to_dict() == warm.to_dict() == bare.to_dict()
+        assert cold.trace == warm.trace == bare.trace
+
+
+def test_step_memo_calls_the_automaton_once_per_stored_step(monkeypatch):
+    seen = []
+    real = protocol.on_deliver
+
+    def spy(state, rules, port):
+        seen.append((state, port))
+        return real(state, rules, port)
+    monkeypatch.setattr(protocol, "on_deliver", spy)
+    s = new_simulation(binary(8), "even")
+    for seed in range(3):
+        assert run(s, SeededRandom(seed), 10 ** 6).status == "terminated"
+        assert s.moves.room > 0
+        assert len(seen) == len(set(seen)) == len(s.moves)
+        assert set(seen) == set(s.moves)
+
+
+@pytest.mark.parametrize("algorithm,ids", [("general", None),
+                                           ("stabilizing", [3, 1, 4, 5, 2])])
+def test_only_the_even_automaton_is_memoised(algorithm, ids):
+    s = new_simulation(c5(), algorithm, ids)
+    assert s.moves is None
+    run(s, SeededRandom(0), 10 ** 4)
+    assert s.clone().moves is None
+
+
+def test_step_memo_keys_hold_no_more_counters_than_directed_edges():
+    s = new_simulation(star_tree(3000), "even")
+    edges = len(s.dir_edges)
+    # Deliveries in edge order and in reverse edge order.
+    for end in (0, -1):
+        state = s.clone()
+        while state.enabled_edges():
+            state._deliver(state.enabled_edges()[end])
+            stored = sum(len(ns.received) for ns, _ in s.moves)
+            assert stored + s.moves.room == edges
+            assert stored <= edges
+        assert state.all_halted()
+    # The hub's first steps fill the memo; the rest are not stored.
+    assert len(s.moves) < 10
 
 
 def _snapshot(state):
