@@ -119,6 +119,14 @@ class RuleSet:
         self._by_degree = {}
         self._quota_memo = {}
         self._floor = {}
+        # _evaluate relies on every trigger entry being at least 1: the
+        # leader rule then needs every port to have heard a pulse, and
+        # an upstream rule exactly one silent port, the remaining one.
+        # An even set asks for i+1 >= 2 pulses and has no trigger tuples.
+        for rule in self.upstream + (leader,):
+            if rule.trigger and min(rule.trigger) < 1:
+                raise RuleConsistencyError(
+                    "trigger %r has an entry below 1" % (rule.trigger,))
 
     def triggers_for_degree(self, d):
         """(target, trigger) of every fixed-degree upstream rule for
@@ -328,9 +336,7 @@ def _set_output(current, output):
 
 def _bump(counts, port, by=1):
     """counts with entry port raised by by."""
-    counts = list(counts)
-    counts[port] += by
-    return tuple(counts)
+    return counts[:port] + (counts[port] + by,) + counts[port + 1:]
 
 
 def _split_remaining(received, required, forced=None):
@@ -400,9 +406,14 @@ def _evaluate(state, rules, received):
     Called after every delivery and once at initialization on the
     all-zero counters, which is what makes degree-1 nodes send their
     full quota up front.
+
+    The number of silent ports decides which rules may be tried at all:
+    the leader rule needs none, an upstream rule exactly one.
     """
     sent = state.sent
-    if state.leader_armed and _leader_matches(received, rules.leader):
+    silent = received.count(0)
+    if (state.leader_armed and not silent
+            and _leader_matches(received, rules.leader)):
         actions = [Send(p, 1, CAT_BROADCAST) for p in range(len(sent))]
         output = _set_output(state.output, LEADER)
         actions += (Declare(LEADER), Halt())
@@ -410,7 +421,8 @@ def _evaluate(state, rules, received):
                               sent=tuple([c + 1 for c in sent]),
                               leader_armed=False, output=output,
                               halted=True), actions
-    found = _split_remaining(received, 0, state.up_port)
+    found = (_split_remaining(received, 0, state.up_port)
+             if silent == 1 else None)
     if found is not None:
         port, rest = found
         target = rules.upstream_quota(len(received), rest)

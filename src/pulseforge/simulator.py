@@ -10,7 +10,9 @@ port: even runs memoise that step across vertices, within a memory
 bound set by the tree, and a wrapper on protocol.on_deliver sees only
 the steps the memo misses. On top of the single-run loop sits an
 exhaustive explorer that walks every reachable interleaving of small
-instances with memoized states.
+instances. It keeps each visited state as one packed bytes key of
+interned node-state indices and in-flight counters, and memoises each
+node's reply per (state, port).
 """
 
 from __future__ import annotations
@@ -292,8 +294,9 @@ class NetworkState:
             port = self.topology.port_to(v, u)
             moves = self.moves
             if moves is None or len(receiver.received) > moves.room:
-                new_state, actions, declares = _react(
-                    self.algorithm, self.rules, receiver, port)
+                new_state, actions = _step(self.algorithm, self.rules,
+                                           receiver, port)
+                declares = _declares_leader(actions) if actions else False
             else:
                 found = moves.get((receiver, port))
                 if found is None:
@@ -323,20 +326,27 @@ class NetworkState:
             })
 
 
-def _react(algorithm, rules, node_state, port):
-    """A live node's successor state, its actions as a tuple, and
-    whether they declare LEADER, for one pulse on port.
+def _step(algorithm, rules, node_state, port):
+    """A live node's successor state and actions for one pulse on port.
 
     The automata are reached as attributes of the protocol module, so a
     wrapper put there sees every call.
     """
     if algorithm == "stabilizing":
-        new_state, actions = protocol.stabilizing_step(node_state, port)
-    else:
-        new_state, actions = protocol.on_deliver(node_state, rules, port)
-    declares = bool(actions) and any(
-        isinstance(a, Declare) and a.output == LEADER for a in actions)
-    return new_state, tuple(actions), declares
+        return protocol.stabilizing_step(node_state, port)
+    return protocol.on_deliver(node_state, rules, port)
+
+
+def _react(algorithm, rules, node_state, port):
+    """_step's successor state, its actions as a tuple, and whether they
+    declare LEADER: the entry a step memo keeps."""
+    new_state, actions = _step(algorithm, rules, node_state, port)
+    return new_state, tuple(actions), _declares_leader(actions)
+
+
+def _declares_leader(actions):
+    return any(isinstance(a, Declare) and a.output == LEADER
+               for a in actions)
 
 
 def _digest(node_state):
@@ -629,22 +639,30 @@ def explore_all_schedules(t, algorithm, ids=None, *, max_states=10 ** 6):
 
     Depth-first with an explicit stack and a visited set; the branch
     point is which nonempty directed edge delivers next. Distinct node
-    states are interned, so a global state is one flat tuple: n
-    interned indices, then the m in-flight counters. It partitions
-    states exactly as NetworkState.key() does.
+    states are interned, and a global state is one packed bytes key of
+    fixed-width unsigned slots: n interned indices, then the m
+    in-flight counters. It partitions states exactly as
+    NetworkState.key() does. Each transition edits an array copy of
+    its parent's slots. Slots start 2 bytes wide; the first value that
+    does not fit restarts the walk with 8-byte slots, and a counter
+    past 2**64 - 1 means more than 2**64 states.
     Pulses carry no content, so a live node's reply depends only on its
     state and the arrival port; each (index, port) step is computed once
-    and stored with its sends relative to the sender's first edge.
+    and stored with its sends relative to the sender's first edge. These
+    tables do not depend on the slot width and survive a restart.
 
     Terminal states (nothing in flight) are grouped into classes by
     leader, outputs, and per-directed-edge send totals. Per-transition
     bookkeeping feeds the direction and quiescence checks. Raises
-    StateCapExceededError beyond max_states, and ValueError when
-    max_states is below 1.
+    StateCapExceededError beyond max_states, or beyond 2**64 states,
+    and ValueError when max_states is below 1.
     """
     if max_states < 1:
         raise ValueError("max_states must be at least 1, got %d"
                          % max_states)
+    # Loading the array extension costs about 0.3 MB of resident
+    # memory, which runs that never explore need not pay.
+    from array import array
     root = new_simulation(t, algorithm, ids)
     rules = root.rules
     offset = root.offset
@@ -675,91 +693,110 @@ def explore_all_schedules(t, algorithm, ids=None, *, max_states=10 ** 6):
         moves[i, port] = found = (intern(ns), sends, declares)
         return found
 
-    start = tuple([intern(ns) for ns in root.node_states] + root.in_flight)
-    seen = {start}
-    stack = [(start, 0, len(root.leaders))]
-    classes = {}
-    transitions = 0
-    direction_violations = 0
-    halted_deliveries = 0
-    nonquiescent = 0
-    multi_leader = 0
-    while stack:
-        state, d2h, leader_count = stack.pop()
-        counters = state[n:]
-        enabled = [ei for ei, c in enumerate(counters) if c]
-        if not enabled:
-            at = [nodes[i] for i in state[:n]]
-            outputs = tuple(ns.output for ns in at)
-            leader = outputs.index(LEADER) if LEADER in outputs else None
-            ck = (leader, outputs, tuple(c for ns in at for c in ns.sent))
-            cls = classes.get(ck)
-            if cls is None:
-                classes[ck] = [1, d2h, d2h, tuple(
-                    v for v, ns in enumerate(at)
-                    if ns.needed is not None and not ns.halted)]
-            else:
-                cls[0] += 1
-                cls[1] = min(cls[1], d2h)
-                cls[2] = max(cls[2], d2h)
-            continue
-        pre_leader = leader_count == 0
-        after_delivery = sum(counters) - 1
-        for ei in enabled:
-            transitions += 1
-            if pre_leader and wrong_way[ei]:
-                direction_violations += 1
-            v = receiver[ei]
-            child = list(state)
-            child[n + ei] -= 1
-            child_d2h = d2h
-            child_leaders = leader_count
-            i = state[v]
-            if halted[i]:
-                # The pulse is absorbed; only the books remember it.
-                child_d2h += 1
-                halted_deliveries += 1
-            else:
-                port = arrival[ei]
-                nxt, sends, declares = moves.get((i, port)) or move(i, port)
-                child[v] = nxt
-                if declares:
-                    child_leaders += 1
-                    if after_delivery:
-                        nonquiescent += 1
-                base = n + offset[v]
-                for p, c in sends:
-                    child[base + p] += c
-            if child_leaders > 1:
-                multi_leader += 1
-            child = tuple(child)
-            if child not in seen:
-                if len(seen) >= max_states:
-                    raise StateCapExceededError(
-                        "more than %d states" % max_states)
-                seen.add(child)
-                stack.append((child, child_d2h, child_leaders))
-    terminal_classes = [
-        TerminalClass(
-            leader=ck[0], outputs=ck[1], per_edge_sent=ck[2],
-            total_pulses=sum(ck[2]),
-            deliveries_to_halted_min=rec[1],
-            deliveries_to_halted_max=rec[2],
-            blocked=rec[3], states=rec[0])
-        for ck, rec in sorted(classes.items(),
-                              key=lambda kv: (str(kv[0][0]), kv[0][1]))
-    ]
-    leaders = tuple(sorted({c.leader for c in terminal_classes
-                            if c.leader is not None}))
-    return ModelCheckReport(
-        algorithm=algorithm,
-        states=len(seen),
-        transitions=transitions,
-        terminal_classes=terminal_classes,
-        confluent=len(terminal_classes) == 1,
-        leaders=leaders,
-        direction_violations=direction_violations,
-        halted_delivery_transitions=halted_deliveries,
-        nonquiescent_declarations=nonquiescent,
-        multi_leader_states=multi_leader,
-    )
+    def walk(code):
+        """The whole walk and its report, with slots of array typecode
+        code; raises OverflowError at the first value that does not
+        fit."""
+        start = array(code, [intern(ns) for ns in root.node_states]
+                      + root.in_flight).tobytes()
+        seen = {start}
+        stack = [(start, 0, len(root.leaders))]
+        classes = {}
+        transitions = 0
+        direction_violations = 0
+        halted_deliveries = 0
+        nonquiescent = 0
+        multi_leader = 0
+        while stack:
+            key, d2h, leader_count = stack.pop()
+            state = array(code, key)
+            counters = state[n:]
+            enabled = [ei for ei, c in enumerate(counters) if c]
+            if not enabled:
+                at = [nodes[i] for i in state[:n]]
+                outputs = tuple(ns.output for ns in at)
+                leader = outputs.index(LEADER) if LEADER in outputs else None
+                ck = (leader, outputs, tuple(c for ns in at for c in ns.sent))
+                cls = classes.get(ck)
+                if cls is None:
+                    classes[ck] = [1, d2h, d2h, tuple(
+                        v for v, ns in enumerate(at)
+                        if ns.needed is not None and not ns.halted)]
+                else:
+                    cls[0] += 1
+                    cls[1] = min(cls[1], d2h)
+                    cls[2] = max(cls[2], d2h)
+                continue
+            pre_leader = leader_count == 0
+            after_delivery = sum(counters) - 1
+            for ei in enabled:
+                transitions += 1
+                if pre_leader and wrong_way[ei]:
+                    direction_violations += 1
+                v = receiver[ei]
+                child = state[:]
+                child[n + ei] -= 1
+                child_d2h = d2h
+                child_leaders = leader_count
+                i = state[v]
+                if halted[i]:
+                    # The pulse is absorbed; only the books remember it.
+                    child_d2h += 1
+                    halted_deliveries += 1
+                else:
+                    port = arrival[ei]
+                    nxt, sends, declares = (moves.get((i, port))
+                                            or move(i, port))
+                    child[v] = nxt
+                    if declares:
+                        child_leaders += 1
+                        if after_delivery:
+                            nonquiescent += 1
+                    base = n + offset[v]
+                    for p, c in sends:
+                        child[base + p] += c
+                if child_leaders > 1:
+                    multi_leader += 1
+                child = child.tobytes()
+                if child not in seen:
+                    if len(seen) >= max_states:
+                        raise StateCapExceededError(
+                            "more than %d states" % max_states)
+                    seen.add(child)
+                    stack.append((child, child_d2h, child_leaders))
+        terminal_classes = [
+            TerminalClass(
+                leader=ck[0], outputs=ck[1], per_edge_sent=ck[2],
+                total_pulses=sum(ck[2]),
+                deliveries_to_halted_min=rec[1],
+                deliveries_to_halted_max=rec[2],
+                blocked=rec[3], states=rec[0])
+            for ck, rec in sorted(classes.items(),
+                                  key=lambda kv: (str(kv[0][0]), kv[0][1]))
+        ]
+        leaders = tuple(sorted({c.leader for c in terminal_classes
+                                if c.leader is not None}))
+        return ModelCheckReport(
+            algorithm=algorithm,
+            states=len(seen),
+            transitions=transitions,
+            terminal_classes=terminal_classes,
+            confluent=len(terminal_classes) == 1,
+            leaders=leaders,
+            direction_violations=direction_violations,
+            halted_delivery_transitions=halted_deliveries,
+            nonquiescent_declarations=nonquiescent,
+            multi_leader_states=multi_leader,
+        )
+
+    # 2-byte slots, then 8-byte ones; the intern and step tables hold
+    # no slot width and serve both walks.
+    for code in ("H", "Q"):
+        try:
+            return walk(code)
+        except OverflowError:
+            pass
+    # Only a pulse counter can pass 2**64 - 1, and delivering those
+    # pulses one at a time passes through more than 2**64 states.
+    raise StateCapExceededError("more than %d states"
+                                % min(max_states, 2 ** 64))

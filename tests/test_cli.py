@@ -223,6 +223,19 @@ def test_mc_rejects_a_state_cap_below_one(capsys, tree, cap):
                    "got %s\n" % cap)
 
 
+@pytest.mark.parametrize("cap", ["10", str(2 ** 70)])
+def test_mc_with_an_id_past_64_bits_exits_2(capsys, cap):
+    # Its election sends 2**64 pulses down one edge, and delivering
+    # them passes through more than 2**64 states.
+    code, out, err = run_cli(capsys, "mc", "--tree", "path2", "--alg",
+                             "stabilizing", "--ids", "1,%d" % 2 ** 64,
+                             "--max-states", cap)
+    assert code == 2
+    assert out == ""
+    assert err == "error: StateCapExceededError: more than %d states\n" \
+        % min(int(cap), 2 ** 64)
+
+
 def test_python_m_pulseforge_runs_the_cli():
     src = os.path.dirname(os.path.dirname(pulseforge.__file__))
     env = dict(os.environ)

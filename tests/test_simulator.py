@@ -8,12 +8,17 @@ import pytest
 import oracles
 from pulseforge import protocol, simulator
 from pulseforge.protocol import (
+    CAT_BROADCAST,
     CAT_UPSTREAM,
     LEADER,
     NONLEADER,
     Declare,
+    Halt,
+    LeaderRule,
     NodeState,
+    RuleSet,
     Send,
+    UpstreamRule,
 )
 from pulseforge.simulator import (
     AdversaryScript,
@@ -893,6 +898,94 @@ def test_explore_state_cap_matches_reference():
     for explore in (reference_explore, explore_all_schedules):
         with pytest.raises(StateCapExceededError):
             explore(binary(2), "even", max_states=states - 1)
+
+
+def _ungated_evaluate(state, rules, received):
+    """protocol._evaluate without the silent-port gate: the leader rule
+    and then the upstream rules are tried on every call."""
+    sent = state.sent
+    if state.leader_armed and protocol._leader_matches(received,
+                                                       rules.leader):
+        actions = [Send(p, 1, CAT_BROADCAST) for p in range(len(sent))]
+        output = protocol._set_output(state.output, LEADER)
+        actions += (Declare(LEADER), Halt())
+        return state._replace(received=received,
+                              sent=tuple([c + 1 for c in sent]),
+                              leader_armed=False, output=output,
+                              halted=True), actions
+    found = protocol._split_remaining(received, 0, state.up_port)
+    if found is not None:
+        port, rest = found
+        target = rules.upstream_quota(len(received), rest)
+        if target is not None and (target > sent[port]
+                                   or not state.downstream_active):
+            actions = []
+            if target > sent[port]:
+                actions.append(Send(port, target - sent[port], CAT_UPSTREAM))
+                sent = list(sent)
+                sent[port] = target
+                sent = tuple(sent)
+            return state._replace(received=received, sent=sent, up_port=port,
+                                  downstream_active=True,
+                                  leader_armed=False), actions
+    return state._replace(received=received), []
+
+
+@pytest.mark.parametrize("algorithm", ["even", "general"])
+def test_silent_port_gate_changes_no_reached_step(monkeypatch, algorithm):
+    reached = set()
+    real = protocol.on_deliver
+
+    def spy(state, rules, port):
+        reached.add((state, rules, port))
+        return real(state, rules, port)
+    monkeypatch.setattr(protocol, "on_deliver", spy)
+    for t in _shapes(7):
+        if algorithm == "even" and layer_decomposition(t).diameter % 2:
+            continue
+        if algorithm == "general" and is_edge_symmetric(t).symmetric:
+            continue
+        reference_explore(t, algorithm)
+    assert len(reached) > 500
+    for state, rules, port in reached:
+        received = protocol._bump(state.received, port)
+        assert protocol._evaluate(state, rules, received) == \
+            _ungated_evaluate(state, rules, received), (state, port)
+
+
+@pytest.mark.parametrize("upstream, leader", [
+    ([UpstreamRule(degree=2, trigger=(0,), threshold=None, target=1,
+                   source_index=1)],
+     LeaderRule(degree=3, trigger=(2, 1), variant="remaining_one")),
+    ([UpstreamRule(degree=2, trigger=(1,), threshold=None, target=1,
+                   source_index=1)],
+     LeaderRule(degree=3, trigger=(1, 0, 0), variant="all_ports")),
+])
+def test_a_rule_set_with_a_trigger_entry_below_one_is_rejected(upstream,
+                                                                leader):
+    # _evaluate tries no rule on a node with more than one silent port,
+    # which is sound only while every trigger entry is at least 1.
+    with pytest.raises(protocol.RuleConsistencyError, match="below 1"):
+        RuleSet("general", upstream, leader, shape_count=2)
+
+
+@pytest.mark.parametrize("ids", [(1, 300), (300, 1)])
+def test_explore_with_ids_past_one_byte_equals_reference(ids):
+    assert explore_all_schedules(path(2), "stabilizing", ids).to_dict() \
+        == reference_explore(path(2), "stabilizing", ids).to_dict()
+
+
+def test_explore_widens_its_slots_for_counters_past_two_bytes():
+    # The election of ID 70000 puts 70000 pulses on one edge, past a
+    # 2-byte slot. reference_explore gives the same figures.
+    rep = explore_all_schedules(path(2), "stabilizing", (1, 70000))
+    assert (rep.states, rep.transitions) == (140005, 210005)
+    [cls] = rep.terminal_classes
+    assert cls.per_edge_sent == (2, 70001)
+    assert rep.leaders == (0,)
+    with pytest.raises(StateCapExceededError):
+        explore_all_schedules(path(2), "stabilizing", (1, 70000),
+                              max_states=100000)
 
 
 def _faulty_on_deliver(real):
