@@ -68,7 +68,11 @@ def _default_seed():
     raw = os.environ.get("PULSEFORGE_SEED")
     if raw is None:
         return 0
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError("PULSEFORGE_SEED must be an integer, got %r"
+                         % raw) from None
 
 
 def _emit(text, out_path):
@@ -280,12 +284,13 @@ def _build_parser():
 
 def cli(argv):
     """Entry point; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        # Building the parser reads PULSEFORGE_SEED.
+        parser = _build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
         return args.func(args)
     except (ParseError, SymmetricTreeError, OddDiameterError,
             RuleConsistencyError, MissingIdsError, DuplicateIdsError,

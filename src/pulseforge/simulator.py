@@ -10,9 +10,11 @@ port: even runs memoise that step across vertices, within a memory
 bound set by the tree, and a wrapper on protocol.on_deliver sees only
 the steps the memo misses. On top of the single-run loop sits an
 exhaustive explorer that walks every reachable interleaving of small
-instances. It keeps each visited state as one packed bytes key of
-interned node-state indices and in-flight counters, and memoises each
-node's reply per (state, port).
+instances. It keeps each visited state as one int key of fixed-width
+fields (interned node-state indices, then in-flight counters; values
+below 2**15 while the fields are 2 bytes wide), memoises each node's
+reply per (state, port), and takes a transition by adding a delta
+computed once per (state, edge).
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ import hashlib
 import random
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
+from itertools import compress
+from sys import byteorder
 
 from . import protocol
 from .protocol import (
@@ -42,6 +46,10 @@ class NoPulseInFlightError(ValueError):
 
 class StateCapExceededError(RuntimeError):
     pass
+
+
+class _PastHeadroom(Exception):
+    """A value the explorer's fields cannot hold; args[0] is the value."""
 
 
 class MissingIdsError(ValueError):
@@ -639,43 +647,46 @@ def explore_all_schedules(t, algorithm, ids=None, *, max_states=10 ** 6):
 
     Depth-first with an explicit stack and a visited set; the branch
     point is which nonempty directed edge delivers next. Distinct node
-    states are interned, and a global state is one packed bytes key of
-    fixed-width unsigned slots: n interned indices, then the m
+    states are interned, and a global state is one int key of
+    fixed-width unsigned fields: n interned indices, then the m
     in-flight counters. It partitions states exactly as
-    NetworkState.key() does. Each transition edits an array copy of
-    its parent's slots. Slots start 2 bytes wide; the first value that
-    does not fit restarts the walk with 8-byte slots, and a counter
-    past 2**64 - 1 means more than 2**64 states.
+    NetworkState.key() does.
     Pulses carry no content, so a live node's reply depends only on its
-    state and the arrival port; each (index, port) step is computed once
-    and stored with its sends relative to the sender's first edge. These
-    tables do not depend on the slot width and survive a restart.
+    state and the arrival port; each (index, port) step is computed
+    once. From it comes a delta per (state, edge): the receiver's index
+    change, one pulse less on the delivered edge and the sends on the
+    receiver's outgoing edges, so a transition is key + delta. A pulse
+    absorbed by a halted node is key minus the edge's unit.
+    Fields start 2 bytes wide and hold values below 2**15; the top bit
+    of each is headroom. Every delta's fields and every popped state
+    are checked against it, so no sum carries into a neighbouring
+    field. The first value past it redoes the walk with 8-byte fields,
+    and the step table serves both walks. A pulse counter of c >= 2**63
+    means more than c states.
 
     Terminal states (nothing in flight) are grouped into classes by
     leader, outputs, and per-directed-edge send totals. Per-transition
     bookkeeping feeds the direction and quiescence checks. Raises
-    StateCapExceededError beyond max_states, or beyond 2**64 states,
-    and ValueError when max_states is below 1.
+    StateCapExceededError beyond max_states, or beyond 2**63 states,
+    and ValueError when max_states is below 1 or a node sends a
+    negative number of pulses.
     """
     if max_states < 1:
         raise ValueError("max_states must be at least 1, got %d"
                          % max_states)
-    # Loading the array extension costs about 0.3 MB of resident
-    # memory, which runs that never explore need not pay.
-    from array import array
     root = new_simulation(t, algorithm, ids)
     rules = root.rules
     offset = root.offset
     n = t.n
+    m = len(root.dir_edges)
     receiver = [v for _, v in root.dir_edges]
     arrival = [t.port_to(v, u) for u, v in root.dir_edges]
     layering = root.layering
-    wrong_way = [layering is not None and layering.parent_of[u] != v
-                 for u, v in root.dir_edges]
+    wrong_way = None if layering is None else [
+        layering.parent_of[u] != v for u, v in root.dir_edges]
     index = {}    # NodeState -> interned index
     nodes = []    # interned index -> NodeState
-    halted = []   # interned index -> NodeState.halted
-    moves = {}    # (index, port) -> (next index, ((port, count), ...),
+    moves = {}    # (index, port) -> (next index, ((port, total), ...),
                   #                   declares LEADER)
 
     def intern(ns):
@@ -683,24 +694,60 @@ def explore_all_schedules(t, algorithm, ids=None, *, max_states=10 ** 6):
         if i is None:
             i = index[ns] = len(nodes)
             nodes.append(ns)
-            halted.append(ns.halted)
         return i
 
     def move(i, port):
         ns, actions, declares = _react(algorithm, rules, nodes[i], port)
-        sends = tuple((a.port, a.count) for a in actions
-                      if isinstance(a, Send))
-        moves[i, port] = found = (intern(ns), sends, declares)
+        totals = {}
+        for a in actions:
+            if isinstance(a, Send):
+                totals[a.port] = totals.get(a.port, 0) + a.count
+        if any(c < 0 for c in totals.values()):
+            raise ValueError("a node sent a negative number of pulses")
+        moves[i, port] = found = (intern(ns), tuple(totals.items()),
+                                  declares)
         return found
 
-    def walk(code):
-        """The whole walk and its report, with slots of array typecode
-        code; raises OverflowError at the first value that does not
-        fit."""
-        start = array(code, [intern(ns) for ns in root.node_states]
-                      + root.in_flight).tobytes()
+    def walk(width):
+        """The whole walk and its report, with fields width bytes wide;
+        raises _PastHeadroom at the first value of 2**(8*width - 1) or
+        more."""
+        bits = 8 * width
+        limit = 1 << (bits - 1)
+        top = sum(limit << (bits * f) for f in range(n + m))
+        code = "H" if width == 2 else "Q"
+        nbytes = width * (n + m)
+        unit = [1 << (bits * (n + ei)) for ei in range(m)]
+        deltas = [{} for _ in range(m)]   # per edge: index -> (delta,
+                                          # None, "absorbed" or "declares")
+
+        def delta(i, ei):
+            if nodes[i].halted:
+                # The pulse is absorbed; only the books remember it.
+                found = (-unit[ei], "absorbed")
+            else:
+                v = receiver[ei]
+                port = arrival[ei]
+                nxt, totals, declares = moves.get((i, port)) or move(i, port)
+                d = ((nxt - i) << (bits * v)) - unit[ei]
+                for p, c in totals:
+                    d += c << (bits * (n + offset[v] + p))
+                big = max([nxt] + [c for _, c in totals])
+                if big >= limit:
+                    raise _PastHeadroom(big)
+                found = (d, "declares" if declares else None)
+            deltas[ei][i] = found
+            return found
+
+        fields = [intern(ns) for ns in root.node_states] + root.in_flight
+        if max(fields) >= limit:
+            raise _PastHeadroom(max(fields))
+        start = sum(x << (bits * f) for f, x in enumerate(fields))
         seen = {start}
-        stack = [(start, 0, len(root.leaders))]
+        # Each entry holds a state and its books: the deliveries to
+        # halted nodes on the path that found it, and its leader count.
+        stack = [(start, (0, len(root.leaders)))]
+        edges = range(m)
         classes = {}
         transitions = 0
         direction_violations = 0
@@ -708,10 +755,13 @@ def explore_all_schedules(t, algorithm, ids=None, *, max_states=10 ** 6):
         nonquiescent = 0
         multi_leader = 0
         while stack:
-            key, d2h, leader_count = stack.pop()
-            state = array(code, key)
+            key, books = stack.pop()
+            d2h, leader_count = books
+            state = memoryview(key.to_bytes(nbytes, byteorder)).cast(code)
+            if key & top:
+                raise _PastHeadroom(max(state))
             counters = state[n:]
-            enabled = [ei for ei, c in enumerate(counters) if c]
+            enabled = list(compress(edges, counters))
             if not enabled:
                 at = [nodes[i] for i in state[:n]]
                 outputs = tuple(ns.output for ns in at)
@@ -727,43 +777,34 @@ def explore_all_schedules(t, algorithm, ids=None, *, max_states=10 ** 6):
                     cls[1] = min(cls[1], d2h)
                     cls[2] = max(cls[2], d2h)
                 continue
-            pre_leader = leader_count == 0
-            after_delivery = sum(counters) - 1
+            transitions += len(enabled)
+            if leader_count > 1:
+                multi_leader += len(enabled)
+            elif not leader_count and wrong_way:
+                direction_violations += sum(compress(wrong_way, counters))
             for ei in enabled:
-                transitions += 1
-                if pre_leader and wrong_way[ei]:
-                    direction_violations += 1
-                v = receiver[ei]
-                child = state[:]
-                child[n + ei] -= 1
-                child_d2h = d2h
-                child_leaders = leader_count
-                i = state[v]
-                if halted[i]:
-                    # The pulse is absorbed; only the books remember it.
-                    child_d2h += 1
-                    halted_deliveries += 1
-                else:
-                    port = arrival[ei]
-                    nxt, sends, declares = (moves.get((i, port))
-                                            or move(i, port))
-                    child[v] = nxt
-                    if declares:
-                        child_leaders += 1
-                        if after_delivery:
+                try:
+                    d, event = deltas[ei][state[receiver[ei]]]
+                except KeyError:
+                    d, event = delta(state[receiver[ei]], ei)
+                child = key + d
+                child_books = books
+                if event:
+                    if event == "absorbed":
+                        halted_deliveries += 1
+                        child_books = (d2h + 1, leader_count)
+                    else:
+                        if leader_count == 1:
+                            multi_leader += 1
+                        if sum(counters) > 1:
                             nonquiescent += 1
-                    base = n + offset[v]
-                    for p, c in sends:
-                        child[base + p] += c
-                if child_leaders > 1:
-                    multi_leader += 1
-                child = child.tobytes()
+                        child_books = (d2h, leader_count + 1)
                 if child not in seen:
                     if len(seen) >= max_states:
                         raise StateCapExceededError(
                             "more than %d states" % max_states)
                     seen.add(child)
-                    stack.append((child, child_d2h, child_leaders))
+                    stack.append((child, child_books))
         terminal_classes = [
             TerminalClass(
                 leader=ck[0], outputs=ck[1], per_edge_sent=ck[2],
@@ -789,14 +830,12 @@ def explore_all_schedules(t, algorithm, ids=None, *, max_states=10 ** 6):
             multi_leader_states=multi_leader,
         )
 
-    # 2-byte slots, then 8-byte ones; the intern and step tables hold
-    # no slot width and serve both walks.
-    for code in ("H", "Q"):
+    for width in (2, 8):
         try:
-            return walk(code)
-        except OverflowError:
-            pass
-    # Only a pulse counter can pass 2**64 - 1, and delivering those
-    # pulses one at a time passes through more than 2**64 states.
+            return walk(width)
+        except _PastHeadroom as past:
+            big = past.args[0]
+    # Only a pulse counter, or one send, can reach 2**63. Delivering its
+    # big pulses one at a time passes through more than big states.
     raise StateCapExceededError("more than %d states"
-                                % min(max_states, 2 ** 64))
+                                % min(max_states, big))

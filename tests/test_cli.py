@@ -140,6 +140,19 @@ def test_seed_from_environment(capsys, monkeypatch):
     assert json.loads(out)["seed"] == 77
 
 
+@pytest.mark.parametrize("argv", [["run", "--tree", "path3", "--alg", "even"],
+                                  ["layers", "--tree", "path3"]])
+def test_a_non_integer_seed_in_the_environment_exits_2(capsys, monkeypatch,
+                                                        argv):
+    # Every subcommand reads the variable, also those without --seed.
+    monkeypatch.setenv("PULSEFORGE_SEED", "abc")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == ("error: ValueError: PULSEFORGE_SEED must be an integer, "
+                   "got 'abc'\n")
+
+
 def test_rules_even_and_general(capsys):
     code, out, _ = run_cli(capsys, "rules", "--tree", "path5",
                            "--alg", "even")

@@ -9,6 +9,7 @@ import oracles
 from pulseforge import protocol, simulator
 from pulseforge.protocol import (
     CAT_BROADCAST,
+    CAT_ELECTION,
     CAT_UPSTREAM,
     LEADER,
     NONLEADER,
@@ -986,6 +987,84 @@ def test_explore_widens_its_slots_for_counters_past_two_bytes():
     with pytest.raises(StateCapExceededError):
         explore_all_schedules(path(2), "stabilizing", (1, 70000),
                               max_states=100000)
+
+
+@pytest.mark.parametrize("ids", [(1, 32767), (1, 32768), (40000, 2),
+                                 (65535, 1), (33000, 2, 1)])
+def test_explore_at_the_field_width_boundaries_equals_reference(ids):
+    # A 2-byte field holds values below 2**15. A leaf's election goes
+    # down the edge that may still hold its leaf pulse, so (1, 32767)
+    # puts 32768 pulses on one edge and (65535, 1) puts 65536 there.
+    t = path(len(ids))
+    assert explore_all_schedules(t, "stabilizing", ids).to_dict() == \
+        reference_explore(t, "stabilizing", ids).to_dict()
+
+
+def test_explore_checks_counters_that_grow_across_deliveries(monkeypatch):
+    # Each of the three pulses into the node with ID 3 sends 22000 more
+    # back. No single send reaches 2**15, yet one edge can come to hold
+    # 66004 pulses, more than a 2-byte field holds; only the check of
+    # each popped state sees that.
+    real = protocol.stabilizing_step
+
+    def flooding(state, port):
+        nxt, actions = real(state, port)
+        if state.node_id == 3:
+            nxt = nxt._replace(sent=protocol._bump(nxt.sent, 0, 22000))
+            actions = list(actions) + [Send(0, 22000, CAT_ELECTION)]
+        return nxt, actions
+    monkeypatch.setattr(protocol, "stabilizing_step", flooding)
+    assert explore_all_schedules(path(2), "stabilizing", (2, 3)).to_dict() \
+        == reference_explore(path(2), "stabilizing", (2, 3)).to_dict()
+
+
+def test_explore_rejects_a_negative_send(monkeypatch):
+    # A negative field in a delta would borrow from its neighbour.
+    real = protocol.stabilizing_step
+
+    def unsend(state, port):
+        nxt, actions = real(state, port)
+        return nxt, list(actions) + [Send(0, -1, CAT_ELECTION)]
+    monkeypatch.setattr(protocol, "stabilizing_step", unsend)
+    with pytest.raises(ValueError, match="negative number of pulses"):
+        explore_all_schedules(path(2), "stabilizing", (1, 2))
+
+
+def _without_send_totals(report):
+    d = report.to_dict()
+    for cls in d["terminal_classes"]:
+        del cls["per_edge_sent"], cls["total_pulses"]
+    return d
+
+
+def test_explore_widens_its_fields_without_reading_sent(monkeypatch):
+    # A broken automaton sends its election but leaves its sent counts
+    # as they were, so only the actions say that 70000 pulses went out.
+    # The terminal classes read the stale counts, the reference reads
+    # the per-edge totals, so those two fields may differ.
+    real = protocol.stabilizing_step
+
+    def stale_sent(state, port):
+        nxt, actions = real(state, port)
+        return nxt._replace(sent=state.sent), actions
+    monkeypatch.setattr(protocol, "stabilizing_step", stale_sent)
+    rep = explore_all_schedules(path(2), "stabilizing", (1, 70000))
+    assert _without_send_totals(rep) == _without_send_totals(
+        reference_explore(path(2), "stabilizing", (1, 70000)))
+
+
+def test_widening_the_fields_keeps_the_step_table(monkeypatch):
+    # The 2-byte walk stops at the 70000-pulse election; the 8-byte
+    # walk that follows steps no (node state, port) a second time.
+    real = protocol.stabilizing_step
+    calls = {}
+
+    def spy(state, port):
+        calls[state, port] = calls.get((state, port), 0) + 1
+        return real(state, port)
+    monkeypatch.setattr(protocol, "stabilizing_step", spy)
+    explore_all_schedules(path(2), "stabilizing", (1, 70000))
+    assert calls and set(calls.values()) == {1}
 
 
 def _faulty_on_deliver(real):
