@@ -64,7 +64,11 @@ def _parse_ids(text):
     return [int(x) for x in text.split(",") if x.strip() != ""]
 
 
-def _default_seed():
+def _seed(args):
+    """--seed if given, else PULSEFORGE_SEED, else 0. Only the
+    subcommands that take --seed read the variable."""
+    if args.seed is not None:
+        return args.seed
     raw = os.environ.get("PULSEFORGE_SEED")
     if raw is None:
         return 0
@@ -99,7 +103,7 @@ def _cmd_run(args):
     state = new_simulation(t, args.alg, _parse_ids(args.ids),
                            record_trace=args.trace is not None)
     budget = args.budget or max(1, pulse_bound(t, args.alg, state.ids))
-    outcome = run(state, SeededRandom(args.seed), budget)
+    outcome = run(state, SeededRandom(_seed(args)), budget)
     if args.trace is not None:
         with open(args.trace, "w", encoding="utf-8") as fh:
             for entry in outcome.trace:
@@ -175,7 +179,8 @@ def _cmd_sweep(args):
         if args.n is None:
             raise ValueError("--n is required for generator %r" % args.gen)
         specs = [GeneratorSpec(kind, n=n) for n in ns]
-    seeds = [args.seed + i for i in range(args.seeds)]
+    first = _seed(args)
+    seeds = [first + i for i in range(args.seeds)]
     report = sweep(specs, args.alg, seeds, budget=args.budget)
     if args.format == "csv":
         if args.out:
@@ -220,7 +225,7 @@ def _build_parser():
         if alg:
             p.add_argument("--alg", required=True, choices=alg)
         if seeded:
-            p.add_argument("--seed", type=int, default=_default_seed(),
+            p.add_argument("--seed", type=int, default=None,
                            help="default from PULSEFORGE_SEED, else 0")
         p.add_argument("--out", default=None, help="write output here "
                        "instead of stdout")
@@ -285,12 +290,10 @@ def _build_parser():
 def cli(argv):
     """Entry point; returns the process exit code."""
     try:
-        # Building the parser reads PULSEFORGE_SEED.
-        parser = _build_parser()
-        try:
-            args = parser.parse_args(argv)
-        except SystemExit as exc:
-            return int(exc.code or 0)
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    try:
         return args.func(args)
     except (ParseError, SymmetricTreeError, OddDiameterError,
             RuleConsistencyError, MissingIdsError, DuplicateIdsError,

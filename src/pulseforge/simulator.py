@@ -4,17 +4,21 @@ In-flight traffic is a nonnegative counter per directed edge: pulses
 carry nothing and are attributed only to their arrival port, so a
 multiset of them is fully described by its size. A scheduler picks
 which nonempty directed edge delivers next; delivery invokes the
-receiver's automaton and enqueues whatever it sends. An even node has
+receiver's automaton and enqueues whatever it sends. One loop, _drive,
+holds the only delivery code: run uses it until a verdict, step() for
+one pulse. It finds the receiver and arrival port of an edge in a
+per-edge table built once per network state, and keeps its hot fields
+in locals that it writes back after each delivery. An even node has
 no identity, so its reply depends only on its state and the arrival
 port: even runs memoise that step across vertices, within a memory
-bound set by the tree, and a wrapper on protocol.on_deliver sees only
-the steps the memo misses. On top of the single-run loop sits an
-exhaustive explorer that walks every reachable interleaving of small
-instances. It keeps each visited state as one int key of fixed-width
-fields (interned node-state indices, then in-flight counters; values
-below 2**15 while the fields are 2 bytes wide), memoises each node's
-reply per (state, port), and takes a transition by adding a delta
-computed once per (state, edge).
+bound set by the tree, with the sends ready to apply, and a wrapper on
+protocol.on_deliver sees only the steps the memo misses. On top of the
+single-run loop sits an exhaustive explorer that walks every reachable
+interleaving of small instances. It keeps each visited state as one
+int key of fixed-width fields (interned node-state indices, then
+in-flight counters; values below 2**15 while the fields are 2 bytes
+wide), memoises each node's reply per (state, port), and takes a
+transition by adding a delta computed once per (state, edge).
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import hashlib
 import random
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from itertools import compress
+from itertools import accumulate, chain, compress
 from sys import byteorder
 
 from . import protocol
@@ -81,13 +85,15 @@ def _normalize_ids(t, ids):
 class StepMemo(dict):
     """The even automaton's local step, memoised across vertices.
 
-    Maps (receiver NodeState, arrival port) to (successor, actions as a
-    tuple, declares LEADER). An even node has no identity, so the same
-    step recurs at vertex after vertex. room is how many more counters
-    (one per port) the stored keys may hold; it starts at the network's
-    directed-edge count. A state that does not fit is stepped without
-    the memo, neither looked up nor stored, so a hub's states neither
-    fill memory nor cost a hash of all their counters per delivery.
+    Maps (receiver NodeState, arrival port) to the entry _reactor's
+    react builds: (successor, actions as a tuple, the sends among them
+    as (port, count, category) tuples, declares LEADER). An even node
+    has no identity, so the same step recurs at vertex after vertex.
+    room is how many more counters (one per port) the stored keys may
+    hold; it starts at the network's directed-edge count. A state that
+    does not fit is stepped without the memo, neither looked up nor
+    stored, so a hub's states neither fill memory nor cost a hash of
+    all their counters per delivery.
     """
 
     __slots__ = ("room",)
@@ -100,9 +106,11 @@ class StepMemo(dict):
 class NetworkState:
     """Full simulation state: topology, node automata, pulse counters.
 
-    Directed edge i runs from src[i] to dst[i]; the outgoing edges of
+    Directed edge i is dir_edges[i] = (u, v); the outgoing edges of
     vertex v occupy the contiguous index block starting at offset[v],
-    in port order, so port p of v is edge offset[v] + p.
+    in port order, so port p of v is edge offset[v] + p. arrive[i] is
+    (v, the port at v that edge i arrives on), built once and shared
+    by clones; dir_edges is built on first use.
 
     Besides the counters, a state keeps what the run loop asks about on
     every delivery, updated as pulses move: `enabled`, the ascending
@@ -118,8 +126,8 @@ class NetworkState:
                  "node_states", "in_flight", "sent_edges", "delivered_edges",
                  "sent_by_category", "deliveries", "deliveries_to_halted",
                  "leader_step", "in_flight_at_leader", "violation",
-                 "trace", "offset", "dir_edges", "enabled", "in_flight_total",
-                 "halted_count", "leaders", "moves")
+                 "trace", "offset", "_dir_edges", "arrive", "enabled",
+                 "in_flight_total", "halted_count", "leaders", "moves")
 
     def __init__(self, topology, algorithm, rules, ids, layering,
                  record_trace=False):
@@ -128,32 +136,28 @@ class NetworkState:
         self.rules = rules
         self.ids = ids
         self.layering = layering
-        offset = []
-        total = 0
-        for v in range(topology.n):
-            offset.append(total)
-            total += topology.degree(v)
-        self.offset = tuple(offset)
-        self.dir_edges = tuple(topology.directed_edges())
+        degrees = list(map(len, topology.neighbors))
+        total = sum(degrees)
+        self.offset = offset = tuple(accumulate(degrees, initial=0))[:-1]
+        self._dir_edges = None
+        self.arrive = tuple(zip(chain.from_iterable(topology.neighbors),
+                                chain.from_iterable(topology.back_ports)))
         self.node_states = []
-        self.in_flight = [0] * total
-        self.sent_edges = [0] * total
+        self.in_flight = in_flight = [0] * total
+        self.sent_edges = sent_edges = [0] * total
         self.delivered_edges = [0] * total
-        self.sent_by_category = {cat: 0 for cat in CATEGORIES}
+        self.sent_by_category = by_category = {cat: 0 for cat in CATEGORIES}
         self.deliveries = 0
         self.deliveries_to_halted = 0
         self.leader_step = None
         self.in_flight_at_leader = None
         self.violation = None
         self.trace = [] if record_trace else None
-        self.enabled = []
-        self.in_flight_total = 0
         self.moves = StepMemo(total) if algorithm == "even" else None
         # A rule-driven start depends on the degree alone, so each
         # degree's state and actions are built once and shared.
         starts = {}
-        for v in range(topology.n):
-            d = topology.degree(v)
+        for v, d in enumerate(degrees):
             if algorithm == "stabilizing":
                 state, actions = protocol.init_stabilizing(d, ids[v])
             else:
@@ -166,12 +170,15 @@ class NetworkState:
                 # Only an isolated vertex declares at init, with
                 # nothing in flight towards it.
                 self.leader_step = 0
-                self.in_flight_at_leader = self.in_flight_total
-            if actions:
-                self._apply_sends(v, actions)
-        self.halted_count = [s.halted for s in self.node_states].count(True)
-        self.leaders = [v for v, s in enumerate(self.node_states)
-                        if s.output == LEADER]
+                self.in_flight_at_leader = sum(in_flight)
+            for act in actions:
+                if isinstance(act, Send):
+                    ei = offset[v] + act.port
+                    in_flight[ei] += act.count
+                    sent_edges[ei] += act.count
+                    by_category[act.category] += act.count
+        (self.enabled, self.in_flight_total, self.halted_count,
+         self.leaders) = self._scan()
 
     def clone(self):
         c = NetworkState.__new__(NetworkState)
@@ -181,7 +188,8 @@ class NetworkState:
         c.ids = self.ids
         c.layering = self.layering
         c.offset = self.offset
-        c.dir_edges = self.dir_edges
+        c._dir_edges = self._dir_edges
+        c.arrive = self.arrive
         c.node_states = list(self.node_states)
         c.in_flight = list(self.in_flight)
         c.sent_edges = list(self.sent_edges)
@@ -199,6 +207,14 @@ class NetworkState:
         c.leaders = list(self.leaders)
         c.moves = self.moves
         return c
+
+    @property
+    def dir_edges(self):
+        """The (u, v) pair of each directed-edge index, built on first
+        use; the delivery loop reads arrive instead."""
+        if self._dir_edges is None:
+            self._dir_edges = tuple(self.topology.directed_edges())
+        return self._dir_edges
 
     def key(self):
         return tuple(self.node_states), tuple(self.in_flight)
@@ -262,99 +278,149 @@ class NetworkState:
                 [v for v, s in enumerate(self.node_states)
                  if s.output == LEADER])
 
-    def _apply_sends(self, sender, actions):
-        in_flight = self.in_flight
-        base = self.offset[sender]
-        for act in actions:
-            if isinstance(act, Send):
-                ei = base + act.port
-                count = act.count
-                if not in_flight[ei]:
-                    insort(self.enabled, ei)
-                in_flight[ei] += count
-                self.in_flight_total += count
-                self.sent_edges[ei] += count
-                self.sent_by_category[act.category] += count
-
     def _deliver(self, ei):
         """Deliver one pulse along directed edge index ei (mutating)."""
-        in_flight = self.in_flight
-        if not in_flight[ei]:
+        _drive(self, lambda state, enabled: ei, None, once=True)
+
+
+def _reactor(algorithm, rules):
+    """react(node_state, port): a live node's reply to one pulse on
+    port, as the entry a step memo keeps: the successor, the actions as
+    a tuple, the sends among them as (port, count, category) tuples,
+    and whether they declare LEADER.
+
+    The automaton is read off the protocol module when the reactor is
+    made, once per run, step or exploration, so a wrapper put there
+    beforehand sees every call.
+    """
+    if algorithm == "stabilizing":
+        automaton = protocol.stabilizing_step
+    else:
+        on_deliver = protocol.on_deliver
+
+        def automaton(node_state, port):
+            return on_deliver(node_state, rules, port)
+
+    def react(node_state, port):
+        new_state, actions = automaton(node_state, port)
+        sends = []
+        declares = False
+        for a in actions:
+            if isinstance(a, Send):
+                sends.append((a.port, a.count, a.category))
+            elif isinstance(a, Declare) and a.output == LEADER:
+                declares = True
+        return new_state, tuple(actions), tuple(sends), declares
+    return react
+
+
+def _drive(state, pick, budget, once=False):
+    """The one delivery loop; run and _deliver share it.
+
+    Until a verdict, asks pick(state, enabled) for a directed-edge
+    index and delivers one pulse on it (mutating), and returns run's
+    status. With once it skips the verdict checks, delivers the one
+    picked pulse and returns None. The delivery and in-flight counts it
+    keeps in locals are written back after every delivery, so every
+    field of state is current at each pick.
+    """
+    in_flight = state.in_flight
+    enabled = state.enabled
+    node_states = state.node_states
+    sent_edges = state.sent_edges
+    delivered_edges = state.delivered_edges
+    by_category = state.sent_by_category
+    arrive = state.arrive
+    offset = state.offset
+    trace = state.trace
+    moves = state.moves
+    get = None if moves is None else moves.get
+    react = _reactor(state.algorithm, state.rules)
+    general = state.algorithm == "general"
+    stabilizing = state.algorithm == "stabilizing"
+    n = len(node_states)
+    deliveries = state.deliveries
+    total = state.in_flight_total
+    violated = state.violation is not None
+    while True:
+        if not once:
+            if not total and state.halted_count == n:
+                return "terminated"
+            if stabilizing and _is_stabilized(state):
+                return "stabilized"
+            if deliveries >= budget or not enabled:
+                # Live nodes but nothing to deliver: no rule set
+                # compiled by this package gets here, but a scripted
+                # misuse might.
+                return "budget_exhausted"
+        ei = pick(state, enabled)
+        if ei is None:
+            return "budget_exhausted"
+        left = in_flight[ei]
+        if not left:
             raise NoPulseInFlightError("no pulse in flight on %r"
-                                       % (self.dir_edges[ei],))
-        u, v = self.dir_edges[ei]
-        in_flight[ei] -= 1
-        self.in_flight_total -= 1
-        if not in_flight[ei]:
-            del self.enabled[bisect_left(self.enabled, ei)]
-        self.delivered_edges[ei] += 1
-        self.deliveries += 1
-        receiver = self.node_states[v]
+                                       % (state.dir_edges[ei],))
+        left -= 1
+        in_flight[ei] = left
+        if not left:
+            del enabled[bisect_left(enabled, ei)]
+        delivered_edges[ei] += 1
+        deliveries += 1
+        total -= 1
+        v, port = arrive[ei]
+        receiver = node_states[v]
         if receiver.halted:
             # Halted means the device is off; the pulse is absorbed and
             # only the books remember it. For the quiescent algorithm
             # this should be unreachable, so the first hit is recorded.
-            self.deliveries_to_halted += 1
-            if self.algorithm == "general" and self.violation is None:
-                self.violation = (v, self.deliveries)
+            state.deliveries_to_halted += 1
+            if general and not violated:
+                state.violation = (v, deliveries)
+                violated = True
             actions = ()
         else:
-            port = self.topology.port_to(v, u)
-            moves = self.moves
             if moves is None or len(receiver.received) > moves.room:
-                new_state, actions = _step(self.algorithm, self.rules,
-                                           receiver, port)
-                declares = _declares_leader(actions) if actions else False
+                found = react(receiver, port)
             else:
-                found = moves.get((receiver, port))
+                found = get((receiver, port))
                 if found is None:
-                    found = _react(self.algorithm, self.rules, receiver, port)
+                    found = react(receiver, port)
                     moves.room -= len(receiver.received)
                     moves[receiver, port] = found
-                new_state, actions, declares = found
-            self.node_states[v] = new_state
+            new_state, actions, sends, declares = found
+            node_states[v] = new_state
             if new_state.halted:
-                self.halted_count += 1
-            if actions:
-                if declares:
-                    insort(self.leaders, v)
-                    # Snapshot before the leader's own broadcast goes
-                    # out: this is the count the quiescence claim is
-                    # about.
-                    self.leader_step = self.deliveries
-                    self.in_flight_at_leader = self.in_flight_total
-                self._apply_sends(v, actions)
-        if self.trace is not None:
-            self.trace.append({
-                "step": self.deliveries,
-                "edge": [u, v],
-                "receiver_state_digest": _digest(self.node_states[v]),
+                state.halted_count += 1
+            if declares:
+                insort(state.leaders, v)
+                # Snapshot before the leader's own broadcast goes out:
+                # this is the count the quiescence claim is about.
+                state.leader_step = deliveries
+                state.in_flight_at_leader = total
+            if sends:
+                base = offset[v]
+                for p, count, category in sends:
+                    ej = base + p
+                    if not in_flight[ej]:
+                        insort(enabled, ej)
+                    in_flight[ej] += count
+                    total += count
+                    sent_edges[ej] += count
+                    by_category[category] += count
+        state.deliveries = deliveries
+        state.in_flight_total = total
+        if trace is not None:
+            trace.append({
+                "step": deliveries,
+                "edge": list(state.dir_edges[ei]),
+                "receiver_state_digest": _digest(node_states[v]),
                 "actions": [_action_brief(a) for a in actions],
-                "in_flight_total": self.in_flight_total,
+                "in_flight_total": total,
             })
-
-
-def _step(algorithm, rules, node_state, port):
-    """A live node's successor state and actions for one pulse on port.
-
-    The automata are reached as attributes of the protocol module, so a
-    wrapper put there sees every call.
-    """
-    if algorithm == "stabilizing":
-        return protocol.stabilizing_step(node_state, port)
-    return protocol.on_deliver(node_state, rules, port)
-
-
-def _react(algorithm, rules, node_state, port):
-    """_step's successor state, its actions as a tuple, and whether they
-    declare LEADER: the entry a step memo keeps."""
-    new_state, actions = _step(algorithm, rules, node_state, port)
-    return new_state, tuple(actions), _declares_leader(actions)
-
-
-def _declares_leader(actions):
-    return any(isinstance(a, Declare) and a.output == LEADER
-               for a in actions)
+        if violated:
+            return "quiescence_violated"
+        if once:
+            return None
 
 
 def _digest(node_state):
@@ -423,9 +489,14 @@ class SeededRandom:
     def __init__(self, seed):
         self.seed = seed
         self._rng = random.Random(seed)
+        # randrange(k) is _randbelow(k) for every k >= 1: the same draws
+        # without randrange's argument checks.
+        self._below = self._rng._randbelow
 
     def pick(self, state, enabled):
-        return enabled[self._rng.randrange(len(enabled))]
+        if not enabled:
+            raise NoPulseInFlightError("nothing in flight")
+        return enabled[self._below(len(enabled))]
 
 
 class RoundRobin:
@@ -519,7 +590,7 @@ def _is_stabilized(state):
         return False
     incoming = {}
     for i in state.enabled:
-        v = state.dir_edges[i][1]
+        v = state.arrive[i][0]
         incoming[v] = incoming.get(v, 0) + state.in_flight[i]
     for v, total in incoming.items():
         s = state.node_states[v]
@@ -544,33 +615,7 @@ def run(state, scheduler, budget):
     if budget < 1:
         raise ValueError("budget must be at least 1")
     state = state.clone()
-    stabilizing = state.algorithm == "stabilizing"
-    enabled = state.enabled
-    n = len(state.node_states)
-    status = None
-    while True:
-        if state.halted_count == n and state.in_flight_total == 0:
-            status = "terminated"
-            break
-        if stabilizing and _is_stabilized(state):
-            status = "stabilized"
-            break
-        if state.deliveries >= budget:
-            status = "budget_exhausted"
-            break
-        if not enabled:
-            # Live nodes but nothing to deliver: no rule set compiled by
-            # this package reaches here, but a scripted misuse might.
-            status = "budget_exhausted"
-            break
-        picked = scheduler.pick(state, enabled)
-        if picked is None:
-            status = "budget_exhausted"
-            break
-        state._deliver(picked)
-        if state.violation is not None:
-            status = "quiescence_violated"
-            break
+    status = _drive(state, scheduler.pick, budget)
     return Outcome(
         status=status,
         leader=state.leader_vertex(),
@@ -679,8 +724,8 @@ def explore_all_schedules(t, algorithm, ids=None, *, max_states=10 ** 6):
     offset = root.offset
     n = t.n
     m = len(root.dir_edges)
-    receiver = [v for _, v in root.dir_edges]
-    arrival = [t.port_to(v, u) for u, v in root.dir_edges]
+    receiver = [v for v, _ in root.arrive]
+    arrival = [port for _, port in root.arrive]
     layering = root.layering
     wrong_way = None if layering is None else [
         layering.parent_of[u] != v for u, v in root.dir_edges]
@@ -696,12 +741,13 @@ def explore_all_schedules(t, algorithm, ids=None, *, max_states=10 ** 6):
             nodes.append(ns)
         return i
 
+    react = _reactor(algorithm, rules)
+
     def move(i, port):
-        ns, actions, declares = _react(algorithm, rules, nodes[i], port)
+        ns, _, sends, declares = react(nodes[i], port)
         totals = {}
-        for a in actions:
-            if isinstance(a, Send):
-                totals[a.port] = totals.get(a.port, 0) + a.count
+        for p, count, _ in sends:
+            totals[p] = totals.get(p, 0) + count
         if any(c < 0 for c in totals.values()):
             raise ValueError("a node sent a negative number of pulses")
         moves[i, port] = found = (intern(ns), tuple(totals.items()),

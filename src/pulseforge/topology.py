@@ -43,15 +43,18 @@ class TreeTopology:
     neighbors[v] is the ordered tuple of v's neighbors; the position of a
     neighbor in that tuple is the local port index at v. Ports follow the
     first-appearance order of the input edge list, so identical input
-    text always yields identical port assignments.
+    text always yields identical port assignments. back_ports[v][p] is
+    the port at neighbors[v][p] of the edge back to v, so a pulse v
+    sends on port p arrives there.
     """
 
-    __slots__ = ("n", "neighbors", "_port_of", "_layering")
+    __slots__ = ("n", "neighbors", "back_ports", "_port_of", "_layering")
 
     def __init__(self, n, edges):
         if n < 1:
             raise ParseError("need at least one vertex")
         adj = [[] for _ in range(n)]
+        back = [[] for _ in range(n)]
         seen = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -62,6 +65,9 @@ class TreeTopology:
             if key in seen:
                 raise DuplicateEdgeError("duplicate edge %r" % (key,))
             seen.add(key)
+            # Each end's next port is the length of its list so far.
+            back[u].append(len(adj[v]))
+            back[v].append(len(adj[u]))
             adj[u].append(v)
             adj[v].append(u)
         if len(seen) > n - 1:
@@ -86,10 +92,8 @@ class TreeTopology:
             raise CycleError("impossible: connected with fewer than n-1 edges")
         self.n = n
         self.neighbors = tuple(tuple(a) for a in adj)
-        self._port_of = {}
-        for v in range(n):
-            for p, u in enumerate(self.neighbors[v]):
-                self._port_of[(v, u)] = p
+        self.back_ports = tuple(tuple(b) for b in back)
+        self._port_of = None    # built by the first port_to call
         self._layering = None  # filled in by layer_decomposition
 
     def degree(self, v):
@@ -100,6 +104,9 @@ class TreeTopology:
 
     def port_to(self, v, u):
         """Local port index at v of the edge leading to u."""
+        if self._port_of is None:
+            self._port_of = {(w, x): p for w, nbrs in enumerate(self.neighbors)
+                             for p, x in enumerate(nbrs)}
         return self._port_of[(v, u)]
 
     def edges(self):

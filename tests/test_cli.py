@@ -141,16 +141,35 @@ def test_seed_from_environment(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [["run", "--tree", "path3", "--alg", "even"],
-                                  ["layers", "--tree", "path3"]])
+                                  ["sweep", "--gen", "path", "--n", "3",
+                                   "--alg", "even"]])
 def test_a_non_integer_seed_in_the_environment_exits_2(capsys, monkeypatch,
                                                         argv):
-    # Every subcommand reads the variable, also those without --seed.
+    # The subcommands that take --seed read the variable.
     monkeypatch.setenv("PULSEFORGE_SEED", "abc")
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err == ("error: ValueError: PULSEFORGE_SEED must be an integer, "
                    "got 'abc'\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["layers", "--tree", "path3"],
+    ["symmetry", "--tree", "path3"],
+    ["rules", "--tree", "path3", "--alg", "even"],
+    ["mc", "--tree", "path3", "--alg", "even"],
+    ["encode", "--tree", "path3"],
+    ["decode", "(())"],
+    ["run", "--tree", "path3", "--alg", "even", "--seed", "4"],
+], ids=lambda argv: argv[0] + ("-seed" if "--seed" in argv else ""))
+def test_commands_that_need_no_seed_ignore_a_bad_one(capsys, monkeypatch,
+                                                     argv):
+    monkeypatch.setenv("PULSEFORGE_SEED", "abc")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert err == ""
+    assert out
 
 
 def test_rules_even_and_general(capsys):

@@ -46,6 +46,7 @@ from pulseforge.harness import (
     random_tree,
     resolve_tree,
     star_tree,
+    verify_model_check,
 )
 
 
@@ -378,6 +379,111 @@ def test_check_conservation_catches_stale_fields():
     broken.node_states[1] = leaf._replace(sent=(leaf.sent[0] + 1,))
     with pytest.raises(AssertionError, match="sent_edges"):
         broken.check_conservation()
+
+
+class Recounting:
+    """SeededRandom(seed) that checks, at each pick, the fields a
+    scheduler may read against a recount, and keeps the state it was
+    last shown: run's own state, which the last delivery then moves."""
+
+    def __init__(self, seed):
+        self.seed = seed
+        self.draws = SeededRandom(seed)
+        self.state = None
+
+    def pick(self, state, enabled):
+        assert enabled is state.enabled_edges()
+        assert state.deliveries == sum(state.delivered_edges)
+        assert state.in_flight_total == sum(state.in_flight)
+        assert state.halted_count == sum(ns.halted
+                                         for ns in state.node_states)
+        state.check_conservation()
+        self.state = state
+        return self.draws.pick(state, enabled)
+
+
+def _stepped_run(state, scheduler, budget):
+    """run's verdict loop with one step() per delivery: the status and
+    the final state."""
+    while True:
+        if state.all_halted() and not state.total_in_flight():
+            return "terminated", state
+        if state.algorithm == "stabilizing" and \
+                simulator._is_stabilized(state):
+            return "stabilized", state
+        if state.deliveries >= budget or not state.enabled_edges():
+            return "budget_exhausted", state
+        ei = scheduler.pick(state, state.enabled_edges())
+        state = step(state, state.dir_edges[ei])
+        if state.violation is not None:
+            return "quiescence_violated", state
+
+
+def _outcome_dict(status, state, seed):
+    """Outcome.to_dict() of a run that ended in state."""
+    return {
+        "status": status,
+        "leader": state.leader_vertex(),
+        "outputs": list(state.outputs()),
+        "pulses_by_category": dict(state.sent_by_category),
+        "total_pulses": state.total_pulses(),
+        "deliveries": state.deliveries,
+        "deliveries_to_halted": state.deliveries_to_halted,
+        "in_flight_at_leader": state.in_flight_at_leader,
+        "leader_step": state.leader_step,
+        "steps": state.deliveries,
+        "seed": seed,
+        "ids": None if state.ids is None else list(state.ids),
+        "blocked": list(state.blocked_vertices()),
+        "violation": None if state.violation is None
+        else list(state.violation),
+    }
+
+
+def test_run_equals_stepping_one_pulse_at_a_time():
+    statuses = set()
+    for k, (t, algorithm, ids) in enumerate(_bookkeeping_instances()):
+        for budget in (10 ** 6, 1 + k):
+            s = new_simulation(t, algorithm, ids)
+            fast = run(s, SeededRandom(k), budget)
+            recounting = Recounting(k)
+            checked = run(s, recounting, budget)
+            status, final = _stepped_run(s, SeededRandom(k), budget)
+            want = _outcome_dict(status, final, k)
+            assert fast.to_dict() == checked.to_dict() == want, \
+                (algorithm, k, budget)
+            assert recounting.state.key() == final.key()
+            statuses.add(status)
+    assert statuses == {"terminated", "stabilized", "budget_exhausted"}
+
+
+class RandrangeChecked(SeededRandom):
+    """SeededRandom that checks each pick against randrange's draw."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.reference = random.Random(seed)
+        self.picks = 0
+
+    def pick(self, state, enabled):
+        want = enabled[self.reference.randrange(len(enabled))]
+        got = super().pick(state, enabled)
+        assert got == want
+        self.picks += 1
+        return got
+
+
+def test_seeded_random_draws_what_randrange_draws():
+    cases = _bookkeeping_instances() + [
+        (binary(6), "even", None),
+        (random_asymmetric_tree(40, 2), "general", None),
+        (random_tree(60, 8), "stabilizing", _ids(60, 8))]
+    for k, (t, algorithm, ids) in enumerate(cases):
+        sched = RandrangeChecked(k)
+        outcome = run(new_simulation(t, algorithm, ids), sched, 10 ** 6)
+        assert sched.picks == outcome.deliveries > 0
+    with pytest.raises(NoPulseInFlightError):
+        SeededRandom(0).pick(None, [])
 
 
 class ModularScan:
@@ -878,6 +984,39 @@ def test_explore_equals_reference_on_every_small_shape(algorithm):
             reference_explore(t, algorithm).to_dict(), t.edges()
         checked += 1
     assert checked == (15 if algorithm == "even" else 21)
+
+
+# Even shapes whose report fails its judge: two terminal classes, one
+# a pulse short of the exact total. Keys are (n, index in
+# oracles.nonisomorphic_trees(n)).
+_EVEN_JUDGE_FAILURES = {(9, 21), (10, 36), (10, 58), (10, 67), (10, 68)}
+
+
+def _verdict_cases():
+    cases = []
+    for n in range(1, 11):
+        for k, edges in enumerate(oracles.nonisomorphic_trees(n)):
+            t = _relabelled(n, edges, 1000 * n + k)
+            if layer_decomposition(t).diameter % 2 == 0:
+                marks = ()
+                if (n, k) in _EVEN_JUDGE_FAILURES:
+                    marks = pytest.mark.xfail(strict=True, reason=(
+                        "ROADMAP item 1: a top-up pre-empted by the "
+                        "leader's broadcast breaks confluence and the "
+                        "exact total"))
+                cases.append(pytest.param(t, "even", marks=marks,
+                                          id="even-n%d-%d" % (n, k)))
+            if n <= 9 and not is_edge_symmetric(t).symmetric:
+                cases.append(pytest.param(t, "general",
+                                          id="general-n%d-%d" % (n, k)))
+    return cases
+
+
+@pytest.mark.parametrize("t,algorithm", _verdict_cases())
+def test_every_small_shape_passes_the_model_check_judge(t, algorithm):
+    # 109 even shapes (n <= 10) and 87 general shapes (n <= 9).
+    verdict = verify_model_check(explore_all_schedules(t, algorithm), t)
+    assert verdict["ok"], [c for c in verdict["checks"] if not c["ok"]]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

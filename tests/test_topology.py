@@ -69,6 +69,7 @@ def test_ports_are_stable_and_invertible():
         for p in range(t.degree(v)):
             u = t.neighbor_on(v, p)
             assert t.port_to(v, u) == p
+            assert t.back_ports[v][p] == t.port_to(u, v)
     assert t.degree(2) == 3
     assert t.edges() == [(0, 2), (1, 2), (2, 3), (3, 4)]
 
