@@ -29,6 +29,13 @@ from .topology import (
 )
 
 
+# The largest tree builtin_tree and generate build. Past it, a name or
+# size from the command line is refused before a vertex is allocated.
+MAX_VERTICES = 2 ** 20
+# Random draws random_asymmetric_tree makes before giving up.
+MAX_RETRIES = 64
+
+
 class GenerationError(RuntimeError):
     """Raised when a rejection-sampling generator runs out of retries."""
 
@@ -39,7 +46,6 @@ class GeneratorSpec:
     n: int | None = None
     radius: int | None = None
     seed: int | None = None
-    max_retries: int = 64
 
     def label(self):
         kind = self.kind.replace("_", "-")
@@ -94,14 +100,14 @@ def random_tree(n, seed):
     return TreeTopology(n, _prufer_decode(seq, n))
 
 
-def random_asymmetric_tree(n, seed, max_retries=64):
+def random_asymmetric_tree(n, seed):
     rng = random.Random(seed)
-    for _ in range(max_retries):
+    for _ in range(MAX_RETRIES):
         t = random_tree(n, rng)
         if not is_edge_symmetric(t).symmetric:
             return t
     raise GenerationError(
-        "no asymmetric tree on %d vertices after %d draws" % (n, max_retries))
+        "no asymmetric tree on %d vertices after %d draws" % (n, MAX_RETRIES))
 
 
 def mirrored_tree(half_n, seed):
@@ -113,8 +119,24 @@ def mirrored_tree(half_n, seed):
     return TreeTopology(2 * half_n, edges)
 
 
+def _refuse_oversized(label, n):
+    if n > MAX_VERTICES:
+        raise ValueError("%s would have more than %d vertices"
+                         % (label, MAX_VERTICES))
+
+
+def _binary_size(radius):
+    """2**(radius + 1) - 1, the vertices of a complete binary tree; a
+    radius past the cap counts as one just past it, so that no huge
+    integer is built."""
+    return 2 ** (min(radius, MAX_VERTICES.bit_length()) + 1) - 1
+
+
 def generate(spec):
     kind = spec.kind.replace("-", "_")
+    size = _binary_size(spec.radius) if kind == "complete_binary" else spec.n
+    if size is not None:
+        _refuse_oversized(spec.label(), size)
     if kind == "path":
         return path_tree(spec.n)
     if kind == "star":
@@ -124,7 +146,7 @@ def generate(spec):
     if kind == "random":
         return random_tree(spec.n, spec.seed)
     if kind == "random_asymmetric":
-        return random_asymmetric_tree(spec.n, spec.seed, spec.max_retries)
+        return random_asymmetric_tree(spec.n, spec.seed)
     raise ValueError("unknown generator kind %r" % (spec.kind,))
 
 
@@ -302,8 +324,7 @@ class ExperimentReport:
 
 
 def _sweep_one(spec, algorithm, seed, budget):
-    t = generate(GeneratorSpec(spec.kind, spec.n, spec.radius, seed,
-                               spec.max_retries))
+    t = generate(GeneratorSpec(spec.kind, spec.n, spec.radius, seed))
     ids = None
     if algorithm == "stabilizing":
         # Permutation of 1..n: keeps ID_max = n, so the bound is 3n-1.
@@ -364,6 +385,7 @@ def builtin_tree(name):
     if m is None:
         return None
     kind, size = m.group(1), int(m.group(2))
+    _refuse_oversized(name, _binary_size(size) if kind == "binary" else size)
     if kind == "path":
         return path_tree(size)
     if kind == "star":

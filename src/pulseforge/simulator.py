@@ -8,17 +8,18 @@ receiver's automaton and enqueues whatever it sends. One loop, _drive,
 holds the only delivery code: run uses it until a verdict, step() for
 one pulse. It finds the receiver and arrival port of an edge in a
 per-edge table built once per network state, and keeps its hot fields
-in locals that it writes back after each delivery. An even node has
-no identity, so its reply depends only on its state and the arrival
-port: even runs memoise that step across vertices, within a memory
-bound set by the tree, with the sends ready to apply, and a wrapper on
-protocol.on_deliver sees only the steps the memo misses. On top of the
-single-run loop sits an exhaustive explorer that walks every reachable
-interleaving of small instances. It keeps each visited state as one
-int key of fixed-width fields (interned node-state indices, then
-in-flight counters; values below 2**15 while the fields are 2 bytes
-wide), memoises each node's reply per (state, port), and takes a
-transition by adding a delta computed once per (state, edge).
+in locals that it writes back after each delivery. A node's reply to a
+pulse depends only on its state and the arrival port, so one
+StepTable per network state computes every reply, with the sends
+ready to apply; even runs also store them across vertices, within a
+memory bound set by the tree, and a wrapper on protocol.on_deliver
+sees only the steps the table misses. On top of the single-run loop
+sits an exhaustive explorer that walks every reachable interleaving of
+small instances. It keeps each visited state as one int key of
+fixed-width fields (interned node-state indices, then in-flight
+counters; values below 2**15 while the fields are 2 bytes wide),
+steps each node through a StepTable of its own, and takes a transition
+by adding a delta computed once per (state, edge).
 """
 
 from __future__ import annotations
@@ -82,25 +83,58 @@ def _normalize_ids(t, ids):
     return ids
 
 
-class StepMemo(dict):
-    """The even automaton's local step, memoised across vertices.
+class StepTable(dict):
+    """A live node's reply to one pulse, per (node state, arrival port).
 
-    Maps (receiver NodeState, arrival port) to the entry _reactor's
-    react builds: (successor, actions as a tuple, the sends among them
-    as (port, count, category) tuples, declares LEADER). An even node
-    has no identity, so the same step recurs at vertex after vertex.
+    Pulses carry no content, so the reply depends on nothing else. An
+    entry is (successor, actions as a tuple, the sends among them as
+    (port, count, category) tuples, declares LEADER). The automaton is
+    read off the protocol module when the table is built, so a wrapper
+    put there beforehand sees every step the table computes.
+
     room is how many more counters (one per port) the stored keys may
-    hold; it starts at the network's directed-edge count. A state that
-    does not fit is stepped without the memo, neither looked up nor
-    stored, so a hub's states neither fill memory nor cost a hash of
-    all their counters per delivery.
+    hold. A state that does not fit is stepped without the table,
+    neither looked up nor stored, so a hub's states neither fill memory
+    nor cost a hash of all their counters per delivery.
     """
 
-    __slots__ = ("room",)
+    __slots__ = ("room", "_automaton")
 
-    def __init__(self, room):
+    def __init__(self, algorithm, rules, room):
         super().__init__()
         self.room = room
+        if algorithm == "stabilizing":
+            self._automaton = protocol.stabilizing_step
+        else:
+            on_deliver = protocol.on_deliver
+            self._automaton = lambda ns, port: on_deliver(ns, rules, port)
+
+    def react(self, ns, port):
+        """The entry for (ns, port), computed afresh; raises ValueError
+        when the node sends a negative number of pulses."""
+        new_state, actions = self._automaton(ns, port)
+        sends = []
+        declares = False
+        for a in actions:
+            if isinstance(a, Send):
+                if a.count < 0:
+                    raise ValueError("a node sent a negative number of "
+                                     "pulses: %r" % (a,))
+                sends.append((a.port, a.count, a.category))
+            elif isinstance(a, Declare) and a.output == LEADER:
+                declares = True
+        return new_state, tuple(actions), tuple(sends), declares
+
+    def step(self, ns, port):
+        """The entry for (ns, port), stored when ns fits in room."""
+        size = len(ns.received)
+        if size > self.room:
+            return self.react(ns, port)
+        found = self.get((ns, port))
+        if found is None:
+            found = self[ns, port] = self.react(ns, port)
+            self.room -= size
+        return found
 
 
 class NetworkState:
@@ -117,9 +151,10 @@ class NetworkState:
     indices of the nonempty directed edges; `in_flight_total`;
     `halted_count`; and `leaders`, the ascending vertices that declared
     LEADER. check_conservation() compares them with a full scan.
-    Node states are immutable values, shared between clones. Even runs
-    also share one StepMemo, `moves`; it is None for the other
-    algorithms.
+    Node states are immutable values, shared between clones, and so is
+    `moves`, the StepTable every delivery steps through. Its room is the
+    directed-edge count for even runs and 0 for the others, whose steps
+    repeat too seldom to pay for storing them.
     """
 
     __slots__ = ("topology", "algorithm", "rules", "ids", "layering",
@@ -153,7 +188,8 @@ class NetworkState:
         self.in_flight_at_leader = None
         self.violation = None
         self.trace = [] if record_trace else None
-        self.moves = StepMemo(total) if algorithm == "even" else None
+        self.moves = StepTable(algorithm, rules,
+                               total if algorithm == "even" else 0)
         # A rule-driven start depends on the degree alone, so each
         # degree's state and actions are built once and shared.
         starts = {}
@@ -220,7 +256,14 @@ class NetworkState:
         return tuple(self.node_states), tuple(self.in_flight)
 
     def edge_index(self, u, v):
-        return self.offset[u] + self.topology.port_to(u, v)
+        """The index of directed edge (u, v); ValueError for a pair that
+        is not an edge of the tree."""
+        try:
+            port = self.topology.port_to(u, v)
+        except KeyError:
+            raise ValueError("(%r, %r) is not an edge of the tree"
+                             % (u, v)) from None
+        return self.offset[u] + port
 
     def enabled_edges(self):
         """The live ascending list of nonempty edges; do not mutate it."""
@@ -283,37 +326,6 @@ class NetworkState:
         _drive(self, lambda state, enabled: ei, None, once=True)
 
 
-def _reactor(algorithm, rules):
-    """react(node_state, port): a live node's reply to one pulse on
-    port, as the entry a step memo keeps: the successor, the actions as
-    a tuple, the sends among them as (port, count, category) tuples,
-    and whether they declare LEADER.
-
-    The automaton is read off the protocol module when the reactor is
-    made, once per run, step or exploration, so a wrapper put there
-    beforehand sees every call.
-    """
-    if algorithm == "stabilizing":
-        automaton = protocol.stabilizing_step
-    else:
-        on_deliver = protocol.on_deliver
-
-        def automaton(node_state, port):
-            return on_deliver(node_state, rules, port)
-
-    def react(node_state, port):
-        new_state, actions = automaton(node_state, port)
-        sends = []
-        declares = False
-        for a in actions:
-            if isinstance(a, Send):
-                sends.append((a.port, a.count, a.category))
-            elif isinstance(a, Declare) and a.output == LEADER:
-                declares = True
-        return new_state, tuple(actions), tuple(sends), declares
-    return react
-
-
 def _drive(state, pick, budget, once=False):
     """The one delivery loop; run and _deliver share it.
 
@@ -333,9 +345,7 @@ def _drive(state, pick, budget, once=False):
     arrive = state.arrive
     offset = state.offset
     trace = state.trace
-    moves = state.moves
-    get = None if moves is None else moves.get
-    react = _reactor(state.algorithm, state.rules)
+    reply = state.moves.step
     general = state.algorithm == "general"
     stabilizing = state.algorithm == "stabilizing"
     n = len(node_states)
@@ -379,15 +389,7 @@ def _drive(state, pick, budget, once=False):
                 violated = True
             actions = ()
         else:
-            if moves is None or len(receiver.received) > moves.room:
-                found = react(receiver, port)
-            else:
-                found = get((receiver, port))
-                if found is None:
-                    found = react(receiver, port)
-                    moves.room -= len(receiver.received)
-                    moves[receiver, port] = found
-            new_state, actions, sends, declares = found
+            new_state, actions, sends, declares = reply(receiver, port)
             node_states[v] = new_state
             if new_state.halted:
                 state.halted_count += 1
@@ -697,11 +699,12 @@ def explore_all_schedules(t, algorithm, ids=None, *, max_states=10 ** 6):
     in-flight counters. It partitions states exactly as
     NetworkState.key() does.
     Pulses carry no content, so a live node's reply depends only on its
-    state and the arrival port; each (index, port) step is computed
-    once. From it comes a delta per (state, edge): the receiver's index
-    change, one pulse less on the delivered edge and the sends on the
-    receiver's outgoing edges, so a transition is key + delta. A pulse
-    absorbed by a halted node is key minus the edge's unit.
+    state and the arrival port; a StepTable with no room limit computes
+    each such step once. From it comes a delta per (state, edge): the
+    receiver's index change, one pulse less on the delivered edge and
+    the sends on the receiver's outgoing edges, so a transition is
+    key + delta. A pulse absorbed by a halted node is key minus the
+    edge's unit.
     Fields start 2 bytes wide and hold values below 2**15; the top bit
     of each is headroom. Every delta's fields and every popped state
     are checked against it, so no sum carries into a neighbouring
@@ -720,7 +723,6 @@ def explore_all_schedules(t, algorithm, ids=None, *, max_states=10 ** 6):
         raise ValueError("max_states must be at least 1, got %d"
                          % max_states)
     root = new_simulation(t, algorithm, ids)
-    rules = root.rules
     offset = root.offset
     n = t.n
     m = len(root.dir_edges)
@@ -731,8 +733,7 @@ def explore_all_schedules(t, algorithm, ids=None, *, max_states=10 ** 6):
         layering.parent_of[u] != v for u, v in root.dir_edges]
     index = {}    # NodeState -> interned index
     nodes = []    # interned index -> NodeState
-    moves = {}    # (index, port) -> (next index, ((port, total), ...),
-                  #                   declares LEADER)
+    steps = StepTable(algorithm, root.rules, float("inf"))
 
     def intern(ns):
         i = index.get(ns)
@@ -740,19 +741,6 @@ def explore_all_schedules(t, algorithm, ids=None, *, max_states=10 ** 6):
             i = index[ns] = len(nodes)
             nodes.append(ns)
         return i
-
-    react = _reactor(algorithm, rules)
-
-    def move(i, port):
-        ns, _, sends, declares = react(nodes[i], port)
-        totals = {}
-        for p, count, _ in sends:
-            totals[p] = totals.get(p, 0) + count
-        if any(c < 0 for c in totals.values()):
-            raise ValueError("a node sent a negative number of pulses")
-        moves[i, port] = found = (intern(ns), tuple(totals.items()),
-                                  declares)
-        return found
 
     def walk(width):
         """The whole walk and its report, with fields width bytes wide;
@@ -773,12 +761,15 @@ def explore_all_schedules(t, algorithm, ids=None, *, max_states=10 ** 6):
                 found = (-unit[ei], "absorbed")
             else:
                 v = receiver[ei]
-                port = arrival[ei]
-                nxt, totals, declares = moves.get((i, port)) or move(i, port)
+                ns, _, sends, declares = steps.step(nodes[i], arrival[ei])
+                totals = {}
+                for p, c, _ in sends:
+                    totals[p] = totals.get(p, 0) + c
+                nxt = intern(ns)
                 d = ((nxt - i) << (bits * v)) - unit[ei]
-                for p, c in totals:
+                for p, c in totals.items():
                     d += c << (bits * (n + offset[v] + p))
-                big = max([nxt] + [c for _, c in totals])
+                big = max([nxt, *totals.values()])
                 if big >= limit:
                     raise _PastHeadroom(big)
                 found = (d, "declares" if declares else None)

@@ -176,11 +176,12 @@ class Layering:
         "radius",
         "arbitrary_root",
         "_class_of",
-        "_canon",
+        "_shape_count",
     )
 
     def __init__(self, layers, layer_of, parent_of, children_of, root,
-                 co_root, diameter, radius, arbitrary_root, class_of, canon):
+                 co_root, diameter, radius, arbitrary_root, class_of,
+                 shape_count):
         self.layers = layers
         self.layer_of = layer_of
         self.parent_of = parent_of
@@ -191,7 +192,7 @@ class Layering:
         self.radius = radius
         self.arbitrary_root = arbitrary_root
         self._class_of = class_of
-        self._canon = canon
+        self._shape_count = shape_count
 
     def __repr__(self):
         return "Layering(radius=%d, diameter=%d, root=%d, co_root=%r)" % (
@@ -208,11 +209,10 @@ class SubtreeIndex:
     count - class_of(v).
     """
 
-    __slots__ = ("count", "canon", "class_of")
+    __slots__ = ("count", "class_of")
 
-    def __init__(self, count, canon, class_of):
+    def __init__(self, count, class_of):
         self.count = count
-        self.canon = canon
         self.class_of = class_of
 
     def quota(self, index):
@@ -270,29 +270,22 @@ def _shape_classes(t, layers, layer_of):
     shape tuple); across layers lower peel rounds come first. Children
     here are the strictly lower-layer neighbors, so the two central
     vertices of an odd-diameter tree do not contain each other.
-    Also builds the canonical parenthesis string of each shape.
+    Returns class_of and the number of shapes.
     """
-    n = t.n
-    class_of = [0] * n
-    enc = [None] * n
-    canon = []
+    class_of = [0] * t.n
+    count = 0
     for i, layer in enumerate(layers):
         keyed = []
-        for v in sorted(layer):
+        for v in layer:
             kids = [u for u in t.neighbors[v] if layer_of[u] < i]
             key = (len(kids), tuple(sorted(class_of[u] for u in kids)))
-            enc[v] = "(" + "".join(sorted(enc[u] for u in kids)) + ")"
             keyed.append((key, v))
         distinct = sorted(set(k for k, _ in keyed))
-        base = len(canon)
-        rank = {k: base + j + 1 for j, k in enumerate(distinct)}
-        reps = {}
+        rank = {k: count + j + 1 for j, k in enumerate(distinct)}
         for key, v in keyed:
             class_of[v] = rank[key]
-            reps.setdefault(rank[key], v)
-        for j, k in enumerate(distinct):
-            canon.append(enc[reps[base + j + 1]])
-    return tuple(class_of), tuple(canon)
+        count += len(distinct)
+    return tuple(class_of), count
 
 
 def layer_decomposition(t):
@@ -310,7 +303,7 @@ def layer_decomposition(t):
     n = t.n
     r = len(layers) - 1
     top = sorted(layers[-1])
-    class_of, canon = _shape_classes(t, layers, layer_of)
+    class_of, shape_count = _shape_classes(t, layers, layer_of)
     arbitrary = False
     if len(top) == 1:
         root, co_root = top[0], None
@@ -356,7 +349,7 @@ def layer_decomposition(t):
         radius=r,
         arbitrary_root=arbitrary,
         class_of=class_of,
-        canon=canon,
+        shape_count=shape_count,
     )
     return t._layering
 
@@ -367,11 +360,8 @@ def enumerate_subtrees(t, layering):
     The root's subtree is always the last shape; with an odd diameter
     and an asymmetric tree the co-root's shape is the one before it.
     """
-    idx = SubtreeIndex(
-        count=len(layering._canon),
-        canon=layering._canon,
-        class_of=layering._class_of,
-    )
+    idx = SubtreeIndex(count=layering._shape_count,
+                       class_of=layering._class_of)
     if idx.class_of[layering.root] != idx.count:
         raise AssertionError("root subtree is not the final shape")
     return idx

@@ -2,14 +2,18 @@ import dataclasses
 import importlib
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
+import oracles
 import pulseforge
 import pulseforge.cli
+from pulseforge import harness
 from pulseforge.cli import cli
+from pulseforge.topology import TreeTopology, encode_parens
 
 # pulseforge.cli names the function; the submodule is reached this way.
 cli_module = importlib.import_module("pulseforge.cli")
@@ -191,6 +195,54 @@ def test_layers_output(capsys):
     doc = json.loads(out)
     assert doc["root"] == 2 and doc["co_root"] == 3
     assert doc["quota_of"] == [2, 2, 0, 1, 2]
+
+
+def _hanging_subtree(t, layer_of, v):
+    """The subtree hanging at v over its lower-layer neighbours, cut out
+    as a tree of its own with v as vertex 0."""
+    order = [v]
+    edges = []
+    for at, w in enumerate(order):
+        for u in oracles.children_of(t, layer_of, w):
+            edges.append((at, len(order)))
+            order.append(u)
+    return TreeTopology(len(order), edges)
+
+
+def test_layers_prints_each_shape_as_its_hanging_subtree(tmp_path, capsys):
+    f = tmp_path / "shape.edges"
+    for n in range(1, 10):
+        for k, edges in enumerate(oracles.nonisomorphic_trees(n)):
+            perm = list(range(n))
+            random.Random(1000 * n + k).shuffle(perm)
+            t = TreeTopology(n, [(perm[u], perm[v]) for u, v in edges])
+            f.write_text("".join("%d %d\n" % e for e in t.edges()))
+            code, out, err = run_cli(capsys, "layers", "--tree", str(f))
+            assert code == 0, err
+            doc = json.loads(out)
+            layer_of = [None] * n
+            for i, block in enumerate(doc["layers"]):
+                for v in block:
+                    layer_of[v] = i
+            assert len(doc["canonical"]) == doc["shape_count"]
+            assert set(doc["class_of"]) == set(
+                range(1, doc["shape_count"] + 1))
+            for v, c in enumerate(doc["class_of"]):
+                assert doc["canonical"][c - 1] == encode_parens(
+                    _hanging_subtree(t, layer_of, v), 0), (t.edges(), v)
+
+
+@pytest.mark.parametrize("argv", [
+    ["layers", "--tree", "binary40"],
+    ["sweep", "--gen", "path", "--n", "10000000000", "--alg", "even"]])
+def test_oversized_inputs_exit_2_before_building(capsys, monkeypatch, argv):
+    for name in ("path_tree", "star_tree", "complete_binary_tree",
+                 "random_tree"):
+        monkeypatch.setattr(harness, name, None)   # a build would raise
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert "more than 1048576 vertices" in err
 
 
 def test_symmetry_output(capsys):

@@ -53,6 +53,40 @@ def test_structured_generators():
         path_tree(5).edges()
 
 
+@pytest.fixture
+def unbuilt(monkeypatch):
+    """Tree builders that record their size instead of building."""
+    built = []
+    for name in ("path_tree", "star_tree", "complete_binary_tree",
+                 "random_tree"):
+        monkeypatch.setattr(harness, name,
+                            lambda size, *rest: built.append(size))
+    return built
+
+
+def test_trees_past_the_vertex_cap_are_refused_unbuilt(unbuilt):
+    cap = harness.MAX_VERTICES
+    assert cap == 2 ** 20
+    # binary19 has 2**20 - 1 vertices, binary20 2**21 - 1.
+    for name in ("path%d" % cap, "star%d" % cap, "binary19"):
+        builtin_tree(name)
+    for spec in (GeneratorSpec("path", n=cap),
+                 GeneratorSpec("random", n=cap, seed=1),
+                 GeneratorSpec("complete-binary", radius=19)):
+        generate(spec)
+    assert unbuilt == [cap, cap, 19, cap, cap, 19]
+    for name in ("path%d" % (cap + 1), "star%d" % (cap + 1), "binary20",
+                 "binary%d" % 10 ** 12):
+        with pytest.raises(ValueError, match="more than 1048576 vertices"):
+            builtin_tree(name)
+    for spec in (GeneratorSpec("star", n=cap + 1),
+                 GeneratorSpec("random-asymmetric", n=10 ** 10, seed=1),
+                 GeneratorSpec("complete_binary", radius=10 ** 12)):
+        with pytest.raises(ValueError, match="more than 1048576 vertices"):
+            generate(spec)
+    assert len(unbuilt) == 6
+
+
 def test_random_tree_is_seed_deterministic():
     a = random_tree(9, 123)
     b = random_tree(9, 123)

@@ -30,6 +30,7 @@ from pulseforge.simulator import (
     RoundRobin,
     SeededRandom,
     StateCapExceededError,
+    StepTable,
     TerminalClass,
     explore_all_schedules,
     new_simulation,
@@ -148,6 +149,14 @@ def test_adversary_script_exhaustion_is_budget_exhausted():
 def test_adversary_script_rejects_empty_edge():
     with pytest.raises(NoPulseInFlightError):
         run(new_simulation(c5(), "general"), AdversaryScript([(2, 1)]), 500)
+
+
+def test_a_pair_that_is_not_an_edge_is_named():
+    s = new_simulation(path(3), "even")
+    with pytest.raises(ValueError, match=r"\(0, 2\) is not an edge"):
+        step(s, (0, 2))
+    with pytest.raises(ValueError, match=r"\(0, 2\) is not an edge"):
+        run(s, AdversaryScript([(0, 2)]), 10)
 
 
 def test_tiny_budget_reports_exhaustion():
@@ -789,7 +798,7 @@ def test_step_memo_changes_no_outcome_or_trace(t):
         run(cold_state, SeededRandom(t.n + 7), 10 ** 6)
         warm = run(cold_state, make(), 10 ** 6)
         bare_state = new_simulation(t, "even", record_trace=True).clone()
-        bare_state.moves = None
+        bare_state.moves = StepTable("even", bare_state.rules, 0)
         bare = run(bare_state, make(), 10 ** 6)
         assert cold.to_dict() == warm.to_dict() == bare.to_dict()
         assert cold.trace == warm.trace == bare.trace
@@ -815,9 +824,10 @@ def test_step_memo_calls_the_automaton_once_per_stored_step(monkeypatch):
                                            ("stabilizing", [3, 1, 4, 5, 2])])
 def test_only_the_even_automaton_is_memoised(algorithm, ids):
     s = new_simulation(c5(), algorithm, ids)
-    assert s.moves is None
-    run(s, SeededRandom(0), 10 ** 4)
-    assert s.clone().moves is None
+    assert s.moves.room == 0
+    assert run(s, SeededRandom(0), 10 ** 4).deliveries > 0
+    assert s.clone().moves is s.moves
+    assert s.moves.room == 0 and not s.moves
 
 
 def test_step_memo_keys_hold_no_more_counters_than_directed_edges():
@@ -1167,6 +1177,23 @@ def test_explore_rejects_a_negative_send(monkeypatch):
     monkeypatch.setattr(protocol, "stabilizing_step", unsend)
     with pytest.raises(ValueError, match="negative number of pulses"):
         explore_all_schedules(path(2), "stabilizing", (1, 2))
+
+
+@pytest.mark.parametrize("t,algorithm,ids", [
+    (path(3), "even", None), (c5(), "general", None),
+    (path(2), "stabilizing", (1, 2))])
+def test_a_run_rejects_a_negative_send(monkeypatch, t, algorithm, ids):
+    def unsend(step):
+        def wrapped(*args):
+            nxt, actions = step(*args)
+            return nxt, list(actions) + [Send(0, -1, CAT_ELECTION)]
+        return wrapped
+    monkeypatch.setattr(protocol, "on_deliver", unsend(protocol.on_deliver))
+    monkeypatch.setattr(protocol, "stabilizing_step",
+                        unsend(protocol.stabilizing_step))
+    s = new_simulation(t, algorithm, ids)
+    with pytest.raises(ValueError, match="negative number of pulses"):
+        run(s, SeededRandom(0), 100)
 
 
 def _without_send_totals(report):
