@@ -24,8 +24,6 @@ from .protocol import (
     RuleSet,
     NodeState,
     Send,
-    Declare,
-    Halt,
     SymmetricTreeError,
     OddDiameterError,
     RuleConsistencyError,

@@ -16,22 +16,14 @@ from .harness import (
     GenerationError,
     GeneratorSpec,
     pulse_bound,
+    refuse_oversized_spec,
     resolve_tree,
     sweep,
     verify_model_check,
     verify_outcome,
 )
-from .protocol import (
-    OddDiameterError,
-    RuleConsistencyError,
-    SymmetricTreeError,
-    compile_even_rules,
-    compile_general_rules,
-)
+from .protocol import compile_even_rules, compile_general_rules
 from .simulator import (
-    DuplicateIdsError,
-    MissingIdsError,
-    NoPulseInFlightError,
     SeededRandom,
     StateCapExceededError,
     explore_all_schedules,
@@ -39,7 +31,6 @@ from .simulator import (
     run,
 )
 from .topology import (
-    ParseError,
     decode_parens,
     encode_parens,
     enumerate_subtrees,
@@ -49,13 +40,14 @@ from .topology import (
 
 
 def _parse_range(text):
+    """"lo..hi" or one value, as a range; nothing is built per value."""
     if ".." in text:
         lo, hi = text.split("..", 1)
         lo, hi = int(lo), int(hi)
         if hi < lo:
             raise ValueError("empty range %r" % (text,))
-        return list(range(lo, hi + 1))
-    return [int(text)]
+        return range(lo, hi + 1)
+    return range(int(text), int(text) + 1)
 
 
 def _parse_ids(text):
@@ -190,10 +182,12 @@ def _cmd_sweep(args):
     if kind == "complete_binary":
         if args.radius is None:
             raise ValueError("complete-binary sweeps need --radius")
+        refuse_oversized_spec(GeneratorSpec(kind, radius=radii[-1]))
         specs = [GeneratorSpec(kind, radius=r) for r in radii]
     else:
         if args.n is None:
             raise ValueError("--n is required for generator %r" % args.gen)
+        refuse_oversized_spec(GeneratorSpec(kind, n=ns[-1]))
         specs = [GeneratorSpec(kind, n=n) for n in ns]
     first = _seed(args)
     seeds = [first + i for i in range(args.seeds)]
@@ -311,10 +305,9 @@ def cli(argv):
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ParseError, SymmetricTreeError, OddDiameterError,
-            RuleConsistencyError, MissingIdsError, DuplicateIdsError,
-            NoPulseInFlightError, StateCapExceededError, GenerationError,
-            OSError, ValueError) as exc:
+    # Every input error of the package is a ValueError, bar these.
+    except (ValueError, StateCapExceededError, GenerationError,
+            OSError) as exc:
         print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 2
 

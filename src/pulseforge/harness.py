@@ -132,11 +132,18 @@ def _binary_size(radius):
     return 2 ** (min(radius, MAX_VERTICES.bit_length()) + 1) - 1
 
 
+def refuse_oversized_spec(spec):
+    """Raise ValueError, building nothing, when spec's tree would have
+    more than MAX_VERTICES vertices."""
+    if spec.kind.replace("-", "_") == "complete_binary":
+        _refuse_oversized(spec.label(), _binary_size(spec.radius))
+    elif spec.n is not None:
+        _refuse_oversized(spec.label(), spec.n)
+
+
 def generate(spec):
+    refuse_oversized_spec(spec)
     kind = spec.kind.replace("-", "_")
-    size = _binary_size(spec.radius) if kind == "complete_binary" else spec.n
-    if size is not None:
-        _refuse_oversized(spec.label(), size)
     if kind == "path":
         return path_tree(spec.n)
     if kind == "star":

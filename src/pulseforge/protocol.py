@@ -13,8 +13,10 @@ nodes holding unique positive IDs; it needs no compiled rules and never
 halts the losers.
 
 Node states are immutable values and transitions are pure: each takes
-a NodeState and returns its successor plus the emitted actions, so the
+a NodeState and returns its successor plus the pulses it sends, so the
 same code drives single runs and the exhaustive schedule exploration.
+A node puts nothing on the wire but pulses: its decision and whether it
+has halted are fields of the successor, not messages.
 """
 
 from __future__ import annotations
@@ -52,21 +54,12 @@ class RuleConsistencyError(ValueError):
     """A compiled rule set failed the dominance/quota ordering check."""
 
 
-@dataclass(frozen=True)
-class Send:
+class Send(NamedTuple):
+    """count pulses out of port, booked under category."""
+
     port: int
     count: int
     category: str
-
-
-@dataclass(frozen=True)
-class Declare:
-    output: str
-
-
-@dataclass(frozen=True)
-class Halt:
-    pass
 
 
 @dataclass(frozen=True)
@@ -301,8 +294,10 @@ class NodeState(NamedTuple):
     (so the degree is len(received)), the committed upstream port, and
     whether the downstream reaction or the leader rule is armed.
     Stabilizing nodes additionally hold the sorted live ports, the leaf
-    flag, the election counters and their ID. Output is latched: once
-    it leaves "undecided" it never changes.
+    flag, the election counters and their ID. output and halted are the
+    node's only record of its decision: a transition declares by
+    changing output and halts by setting halted. Output is latched:
+    once it leaves "undecided" it never changes.
 
     Transitions build a successor and leave their input alone, so
     network states share node states freely and a state is its own key.
@@ -402,7 +397,7 @@ def _evaluate(state, rules, received):
     """Run the leader rule, then the upstream rules, on the counters
     received, which replace the state's own.
 
-    Returns the successor state, built once, and the emitted actions.
+    Returns the successor state, built once, and the sends.
     Called after every delivery and once at initialization on the
     all-zero counters, which is what makes degree-1 nodes send their
     full quota up front.
@@ -414,13 +409,12 @@ def _evaluate(state, rules, received):
     silent = received.count(0)
     if (state.leader_armed and not silent
             and _leader_matches(received, rules.leader)):
-        actions = [Send(p, 1, CAT_BROADCAST) for p in range(len(sent))]
+        sends = [Send(p, 1, CAT_BROADCAST) for p in range(len(sent))]
         output = _set_output(state.output, LEADER)
-        actions += (Declare(LEADER), Halt())
         return state._replace(received=received,
                               sent=tuple([c + 1 for c in sent]),
                               leader_armed=False, output=output,
-                              halted=True), actions
+                              halted=True), sends
     found = (_split_remaining(received, 0, state.up_port)
              if silent == 1 else None)
     if found is not None:
@@ -430,19 +424,19 @@ def _evaluate(state, rules, received):
         # rule disarmed, a matching rule changes only a short quota.
         if target is not None and (target > sent[port]
                                    or not state.downstream_active):
-            actions = []
+            sends = []
             if target > sent[port]:
-                actions.append(Send(port, target - sent[port], CAT_UPSTREAM))
+                sends.append(Send(port, target - sent[port], CAT_UPSTREAM))
                 sent = _bump(sent, port, target - sent[port])
             # A committed up_port is forced on _split_remaining, so it
             # is port.
             return _new(NodeState, (received, sent, port, True, False)
-                        + state[5:]), actions
+                        + state[5:]), sends
     return _new(NodeState, (received,) + state[1:]), []
 
 
 def init_node(degree, rules):
-    """Fresh rule-driven node state plus its initialization actions.
+    """Fresh rule-driven node state plus its initialization sends.
 
     Degree-0 nodes satisfy the leader rule vacuously and halt at once;
     degree-1 nodes fire their upstream quota through their only port.
@@ -454,7 +448,7 @@ def init_node(degree, rules):
 def on_deliver(state, rules, port):
     """Deliver one pulse on the given port of a rule-driven node.
 
-    Returns the successor state and actions. A pulse arriving on the
+    Returns the successor state and sends. A pulse arriving on the
     committed upstream port while the downstream reaction is armed is
     the top-down signal: the node relays one pulse on every other port,
     declares itself a non-leader, and halts. Deliveries to halted nodes
@@ -464,21 +458,20 @@ def on_deliver(state, rules, port):
     up_port = state.up_port
     if state.downstream_active and port == up_port:
         sent = list(state.sent)
-        actions = []
+        sends = []
         for p in range(len(sent)):
             if p != up_port:
-                actions.append(Send(p, 1, CAT_BROADCAST))
+                sends.append(Send(p, 1, CAT_BROADCAST))
                 sent[p] += 1
         output = _set_output(state.output, NONLEADER)
-        actions += (Declare(NONLEADER), Halt())
         return _new(NodeState, (received, tuple(sent), up_port, True,
                                 state.leader_armed, output, True)
-                    + state[7:]), actions
+                    + state[7:]), sends
     return _evaluate(state, rules, received)
 
 
 def init_stabilizing(degree, node_id):
-    """Fresh stabilizing node state plus its initialization actions.
+    """Fresh stabilizing node state plus its initialization sends.
 
     Every neighbor starts live and the output non-leader. A degree-1
     node is a leaf from the start and announces itself with one pulse;
@@ -487,9 +480,8 @@ def init_stabilizing(degree, node_id):
     """
     zeros = (0,) * degree
     if degree == 0:
-        return (NodeState(zeros, zeros, leader_armed=False, output=LEADER,
-                          halted=True, live=(), node_id=node_id),
-                [Declare(LEADER), Halt()])
+        return NodeState(zeros, zeros, leader_armed=False, output=LEADER,
+                         halted=True, live=(), node_id=node_id), []
     if degree == 1:
         return (NodeState(zeros, (1,), leader_armed=False, output=NONLEADER,
                           is_leaf=True, live=(0,), node_id=node_id),
@@ -501,34 +493,33 @@ def init_stabilizing(degree, node_id):
 def stabilizing_step(state, port):
     """Deliver one pulse on the given port of a stabilizing node.
 
-    Returns the successor state and actions. A node sends a single
+    Returns the successor state and sends. A node sends a single
     pulse when it first becomes a leaf; a pulse received before that
     retires the sending neighbor, possibly making the node a leaf in
     turn; a pulse received as a leaf starts the election, sending one
-    pulse per unit of the node's ID; the election is won, with a Leader
-    declaration and halt, once ID-many pulses have come back.
+    pulse per unit of the node's ID; the election is won, and the node
+    outputs Leader and halts, once ID-many pulses have come back.
     """
     (received, sent, up_port, downstream_active, leader_armed, output,
      halted, is_leaf, live, needed, got, node_id) = state
     received = _bump(received, port)
-    actions = []
+    sends = []
     if needed is not None:
         got += 1
         if got >= needed:
             output = LEADER
             halted = True
-            actions = [Declare(LEADER), Halt()]
     elif is_leaf:
         needed = node_id
         got = 0
         sent = _bump(sent, live[0], node_id)
-        actions = [Send(live[0], node_id, CAT_ELECTION)]
+        sends = [Send(live[0], node_id, CAT_ELECTION)]
     else:
         live = tuple([p for p in live if p != port])
         if len(live) == 1:
             is_leaf = True
             sent = _bump(sent, live[0])
-            actions = [Send(live[0], 1, CAT_LEAF)]
+            sends = [Send(live[0], 1, CAT_LEAF)]
     return _new(NodeState, (received, sent, up_port, downstream_active,
                             leader_armed, output, halted, is_leaf, live,
-                            needed, got, node_id)), actions
+                            needed, got, node_id)), sends

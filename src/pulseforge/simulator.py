@@ -10,9 +10,11 @@ one pulse. It finds the receiver and arrival port of an edge in a
 per-edge table built once per network state, and keeps its hot fields
 in locals that it writes back after each delivery. A node's reply to a
 pulse depends only on its state and the arrival port, so one
-StepTable per network state computes every reply, with the sends
-ready to apply; even runs also store them across vertices, within a
-memory bound set by the tree, and a wrapper on protocol.on_deliver
+StepTable per network state computes every reply: the successor and
+its sends. A node's decision and halt are fields of its state, so a
+declaration is read off the successor's output, and a trace lists it
+after the sends. Even runs also store replies across vertices, within
+a memory bound set by the tree, and a wrapper on protocol.on_deliver
 sees only the steps the table misses. On top of the single-run loop
 sits an exhaustive explorer that walks every reachable interleaving of
 small instances. It keeps each visited state as one int key of
@@ -35,9 +37,6 @@ from . import protocol
 from .protocol import (
     CATEGORIES,
     LEADER,
-    Declare,
-    Halt,
-    Send,
     compile_even_rules,
     compile_general_rules,
     OddDiameterError,
@@ -87,10 +86,10 @@ class StepTable(dict):
     """A live node's reply to one pulse, per (node state, arrival port).
 
     Pulses carry no content, so the reply depends on nothing else. An
-    entry is (successor, actions as a tuple, the sends among them as
-    (port, count, category) tuples, declares LEADER). The automaton is
-    read off the protocol module when the table is built, so a wrapper
-    put there beforehand sees every step the table computes.
+    entry is (successor, its Sends, whether its output turns LEADER).
+    The automaton is read off the protocol module when the table is
+    built, so a wrapper put there beforehand sees every step the table
+    computes.
 
     room is how many more counters (one per port) the stored keys may
     hold. A state that does not fit is stepped without the table,
@@ -112,18 +111,12 @@ class StepTable(dict):
     def react(self, ns, port):
         """The entry for (ns, port), computed afresh; raises ValueError
         when the node sends a negative number of pulses."""
-        new_state, actions = self._automaton(ns, port)
-        sends = []
-        declares = False
-        for a in actions:
-            if isinstance(a, Send):
-                if a.count < 0:
-                    raise ValueError("a node sent a negative number of "
-                                     "pulses: %r" % (a,))
-                sends.append((a.port, a.count, a.category))
-            elif isinstance(a, Declare) and a.output == LEADER:
-                declares = True
-        return new_state, tuple(actions), tuple(sends), declares
+        new_state, sends = self._automaton(ns, port)
+        for send in sends:
+            if send.count < 0:
+                raise ValueError("a node sent a negative number of "
+                                 "pulses: %r" % (send,))
+        return new_state, sends, new_state.output == LEADER != ns.output
 
     def step(self, ns, port):
         """The entry for (ns, port), stored when ns fits in room."""
@@ -154,7 +147,8 @@ class NetworkState:
     Node states are immutable values, shared between clones, and so is
     `moves`, the StepTable every delivery steps through. Its room is the
     directed-edge count for even runs and 0 for the others, whose steps
-    repeat too seldom to pay for storing them.
+    repeat too seldom to pay for storing them; their deliveries call
+    the table's react directly.
     """
 
     __slots__ = ("topology", "algorithm", "rules", "ids", "layering",
@@ -191,28 +185,27 @@ class NetworkState:
         self.moves = StepTable(algorithm, rules,
                                total if algorithm == "even" else 0)
         # A rule-driven start depends on the degree alone, so each
-        # degree's state and actions are built once and shared.
+        # degree's state and sends are built once and shared.
         starts = {}
         for v, d in enumerate(degrees):
             if algorithm == "stabilizing":
-                state, actions = protocol.init_stabilizing(d, ids[v])
+                state, sends = protocol.init_stabilizing(d, ids[v])
             else:
                 start = starts.get(d)
                 if start is None:
                     start = starts[d] = protocol.init_node(d, rules)
-                state, actions = start
+                state, sends = start
             self.node_states.append(state)
             if state.output == LEADER:
                 # Only an isolated vertex declares at init, with
                 # nothing in flight towards it.
                 self.leader_step = 0
                 self.in_flight_at_leader = sum(in_flight)
-            for act in actions:
-                if isinstance(act, Send):
-                    ei = offset[v] + act.port
-                    in_flight[ei] += act.count
-                    sent_edges[ei] += act.count
-                    by_category[act.category] += act.count
+            for port, count, category in sends:
+                ei = offset[v] + port
+                in_flight[ei] += count
+                sent_edges[ei] += count
+                by_category[category] += count
         (self.enabled, self.in_flight_total, self.halted_count,
          self.leaders) = self._scan()
 
@@ -345,7 +338,9 @@ def _drive(state, pick, budget, once=False):
     arrive = state.arrive
     offset = state.offset
     trace = state.trace
-    reply = state.moves.step
+    moves = state.moves
+    # A table with neither room nor entries can only compute replies.
+    reply = moves.step if moves.room or moves else moves.react
     general = state.algorithm == "general"
     stabilizing = state.algorithm == "stabilizing"
     n = len(node_states)
@@ -387,9 +382,9 @@ def _drive(state, pick, budget, once=False):
             if general and not violated:
                 state.violation = (v, deliveries)
                 violated = True
-            actions = ()
+            sends = ()
         else:
-            new_state, actions, sends, declares = reply(receiver, port)
+            new_state, sends, declares = reply(receiver, port)
             node_states[v] = new_state
             if new_state.halted:
                 state.halted_count += 1
@@ -416,7 +411,7 @@ def _drive(state, pick, budget, once=False):
                 "step": deliveries,
                 "edge": list(state.dir_edges[ei]),
                 "receiver_state_digest": _digest(node_states[v]),
-                "actions": [_action_brief(a) for a in actions],
+                "actions": _trace_actions(receiver, node_states[v], sends),
                 "in_flight_total": total,
             })
         if violated:
@@ -435,14 +430,15 @@ def _digest(node_state):
     return hashlib.sha1(repr(node_state[:11]).encode()).hexdigest()[:12]
 
 
-def _action_brief(act):
-    if isinstance(act, Send):
-        return {"send": [act.port, act.count, act.category]}
-    if isinstance(act, Declare):
-        return {"declare": act.output}
-    if isinstance(act, Halt):
-        return {"halt": True}
-    raise TypeError(act)
+def _trace_actions(old, new, sends):
+    """A trace entry's record of one reply: the sends, then the output
+    the node declared and its halt, read off the change of state."""
+    actions = [{"send": list(send)} for send in sends]
+    if new.output != old.output:
+        actions.append({"declare": new.output})
+    if new.halted != old.halted:
+        actions.append({"halt": True})
+    return actions
 
 
 def new_simulation(t, algorithm, ids=None, *, record_trace=False):
@@ -761,7 +757,7 @@ def explore_all_schedules(t, algorithm, ids=None, *, max_states=10 ** 6):
                 found = (-unit[ei], "absorbed")
             else:
                 v = receiver[ei]
-                ns, _, sends, declares = steps.step(nodes[i], arrival[ei])
+                ns, sends, declares = steps.step(nodes[i], arrival[ei])
                 totals = {}
                 for p, c, _ in sends:
                     totals[p] = totals.get(p, 0) + c

@@ -132,7 +132,8 @@ def parse_edge_list(text):
     Labels must be 0-based integers; n is inferred as max label + 1.
     Empty input denotes the single-vertex tree. Raises a distinct
     ParseError subclass for bad tokens, duplicate edges, cycles, and
-    disconnected input.
+    disconnected input. Labels past the pair count mean disconnected
+    input, refused before anything is allocated per vertex.
     """
     tokens = text.split()
     if not tokens:
@@ -150,6 +151,10 @@ def parse_edge_list(text):
         labels.append(x)
     n = max(labels) + 1
     edges = [(labels[i], labels[i + 1]) for i in range(0, len(labels), 2)]
+    if n > len(edges) + 1:
+        raise DisconnectedError("labels reach %d, but %d edge(s) connect "
+                                "at most %d vertices"
+                                % (n - 1, len(edges), len(edges) + 1))
     return TreeTopology(n, edges)
 
 
@@ -169,7 +174,6 @@ class Layering:
         "layers",
         "layer_of",
         "parent_of",
-        "children_of",
         "root",
         "co_root",
         "diameter",
@@ -179,13 +183,11 @@ class Layering:
         "_shape_count",
     )
 
-    def __init__(self, layers, layer_of, parent_of, children_of, root,
-                 co_root, diameter, radius, arbitrary_root, class_of,
-                 shape_count):
+    def __init__(self, layers, layer_of, parent_of, root, co_root,
+                 diameter, radius, arbitrary_root, class_of, shape_count):
         self.layers = layers
         self.layer_of = layer_of
         self.parent_of = parent_of
-        self.children_of = children_of
         self.root = root
         self.co_root = co_root
         self.diameter = diameter
@@ -289,7 +291,7 @@ def _shape_classes(t, layers, layer_of):
 
 
 def layer_decomposition(t):
-    """Decompose t into peeling layers with parent/children maps.
+    """Decompose t into peeling layers with a parent map.
 
     The diameter is 2r when one vertex survives to the last round and
     2r+1 when two do. In the odd case the root is the central vertex
@@ -334,15 +336,10 @@ def layer_decomposition(t):
             raise AssertionError(
                 "vertex %d has %d higher-layer neighbors" % (v, len(ups)))
         parent_of[v] = ups[0]
-    children = [set() for _ in range(n)]
-    for v in range(n):
-        if parent_of[v] is not None:
-            children[parent_of[v]].add(v)
     t._layering = Layering(
         layers=layers,
         layer_of=layer_of,
         parent_of=tuple(parent_of),
-        children_of=tuple(frozenset(c) for c in children),
         root=root,
         co_root=co_root,
         diameter=diameter,

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import importlib
 import json
 import os
@@ -73,6 +74,32 @@ def test_run_writes_trace_jsonl(tmp_path, capsys):
     first = json.loads(lines[0])
     assert set(first) == {"step", "edge", "receiver_state_digest",
                           "actions", "in_flight_total"}
+
+
+# (tree, algorithm, --ids, --seed) -> sha256 of the whole JSONL file
+# that `run --trace` writes. Beyond the receiver digests, this pins
+# each delivery's actions: the sends, then any declaration and halt.
+RUN_TRACE_FILES = [
+    ("c5", "general", None, 0, "a5304f3a634ddce5"),
+    ("c5", "general", None, 3, "c1f600213af41462"),
+    ("binary2", "even", None, 0, "8f50855de07760ed"),
+    ("binary2", "even", None, 3, "cb476e60dd767640"),
+    ("path6", "stabilizing", "4,1,6,2,5,3", 0, "76f2fca114d6ae9e"),
+    ("path6", "stabilizing", "4,1,6,2,5,3", 3, "f384a0069646afee"),
+]
+
+
+@pytest.mark.parametrize("tree,alg,ids,seed,want", RUN_TRACE_FILES)
+def test_run_trace_files_are_pinned(tmp_path, capsys, tree, alg, ids, seed,
+                                    want):
+    trace = tmp_path / "trace.jsonl"
+    argv = ["run", "--tree", tree, "--alg", alg, "--seed", str(seed),
+            "--trace", str(trace)]
+    if ids is not None:
+        argv += ["--ids", ids]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert hashlib.sha256(trace.read_bytes()).hexdigest()[:16] == want
 
 
 def test_package_cli_stays_the_function_after_submodule_import():
@@ -243,6 +270,32 @@ def test_oversized_inputs_exit_2_before_building(capsys, monkeypatch, argv):
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1
     assert "more than 1048576 vertices" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--gen", "path", "--n", "1..10000000000", "--alg", "even"],
+    ["sweep", "--gen", "complete-binary", "--radius", "1..40",
+     "--alg", "even"]])
+def test_oversized_sweep_ranges_exit_2_before_any_row(capsys, monkeypatch,
+                                                      argv):
+    def generate(spec):
+        raise AssertionError("generated %r" % (spec,))
+    monkeypatch.setattr(harness, "generate", generate)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert "more than 1048576 vertices" in err
+
+
+def test_an_edge_list_past_its_pair_count_exits_2_unbuilt(tmp_path, capsys,
+                                                         monkeypatch):
+    f = tmp_path / "far.edges"
+    f.write_text("0 100000000\n")
+    monkeypatch.setattr(pulseforge.topology, "TreeTopology", None)
+    code, out, err = run_cli(capsys, "layers", "--tree", str(f))
+    assert code == 2 and out == ""
+    assert err.startswith("error: DisconnectedError: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_symmetry_output(capsys):

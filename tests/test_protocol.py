@@ -13,8 +13,6 @@ from pulseforge.protocol import (
     LEADER,
     NONLEADER,
     UNDECIDED,
-    Declare,
-    Halt,
     NodeState,
     OddDiameterError,
     RuleConsistencyError,
@@ -296,8 +294,6 @@ def test_leader_fires_on_every_port_once():
     state, _ = init_node(2, rules)
     state, _ = on_deliver(state, rules, 0)
     state, actions = on_deliver(state, rules, 1)
-    assert Declare(LEADER) in actions
-    assert Halt() in actions
     assert [(s.port, s.count) for s in sends(actions)] == [(0, 1), (1, 1)]
     assert all(s.category == CAT_BROADCAST for s in sends(actions))
     assert state.halted and state.output == LEADER
@@ -311,7 +307,7 @@ def test_leader_remaining_one_c5_trace():
         state, actions = on_deliver(state, rules, port)
         assert actions == []
     state, actions = on_deliver(state, rules, 1)
-    assert Declare(LEADER) in actions
+    assert state.output == LEADER
     assert len(sends(actions)) == 3
 
 
@@ -324,8 +320,7 @@ def test_downstream_relay_and_halt():
     state, _ = on_deliver(state, rules, 1)
     assert state.up_port == 2
     state, actions = on_deliver(state, rules, 2)
-    assert Declare(NONLEADER) in actions
-    assert Halt() in actions
+    assert state.output == NONLEADER
     assert sorted(s.port for s in sends(actions)) == [0, 1]
     assert state.halted
 
@@ -339,13 +334,13 @@ def test_no_leader_after_upstream_commitment():
     state, actions = on_deliver(state, rules, 0)
     assert state.up_port == 1
     state, actions = on_deliver(state, rules, 0)
-    assert Declare(LEADER) not in actions
+    assert not state.halted
     assert state.output == UNDECIDED
 
 
 def test_stabilizing_degree0_wins_at_init():
     state, actions = init_stabilizing(0, 7)
-    assert Declare(LEADER) in actions and Halt() in actions
+    assert actions == [] and state.halted
     assert state.output == LEADER
 
 
@@ -380,7 +375,7 @@ def test_stabilizing_election_win_and_block():
         me, actions = stabilizing_step(me, 0)
         assert actions == []
     me, actions = stabilizing_step(me, 0)
-    assert Declare(LEADER) in actions and Halt() in actions
+    assert actions == [] and me.halted
     assert me.output == LEADER
 
     other, _ = init_stabilizing(1, 5)

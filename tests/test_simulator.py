@@ -13,8 +13,6 @@ from pulseforge.protocol import (
     CAT_UPSTREAM,
     LEADER,
     NONLEADER,
-    Declare,
-    Halt,
     LeaderRule,
     NodeState,
     RuleSet,
@@ -830,6 +828,16 @@ def test_only_the_even_automaton_is_memoised(algorithm, ids):
     assert s.moves.room == 0 and not s.moves
 
 
+@pytest.mark.parametrize("algorithm,ids", [("general", None),
+                                           ("stabilizing", [3, 1, 4, 5, 2])])
+def test_a_table_without_room_is_never_looked_up(monkeypatch, algorithm,
+                                                  ids):
+    s = new_simulation(c5(), algorithm, ids)
+    monkeypatch.setattr(StepTable, "step", None)   # a lookup would raise
+    assert run(s, SeededRandom(0), 10 ** 4).deliveries > 0
+    assert step(s, s.dir_edges[s.enabled[0]]).deliveries == 1
+
+
 def test_step_memo_keys_hold_no_more_counters_than_directed_edges():
     s = new_simulation(star_tree(3000), "even")
     edges = len(s.dir_edges)
@@ -1058,7 +1066,6 @@ def _ungated_evaluate(state, rules, received):
                                                        rules.leader):
         actions = [Send(p, 1, CAT_BROADCAST) for p in range(len(sent))]
         output = protocol._set_output(state.output, LEADER)
-        actions += (Declare(LEADER), Halt())
         return state._replace(received=received,
                               sent=tuple([c + 1 for c in sent]),
                               leader_armed=False, output=output,
@@ -1241,10 +1248,7 @@ def _faulty_on_deliver(real):
         state, actions = real(state, rules, port)
         if state.output == NONLEADER:
             state = state._replace(output=LEADER)
-            actions = [Declare(LEADER) if isinstance(a, Declare) else a
-                       for a in actions]
-        if any(isinstance(a, Send) and a.category == CAT_UPSTREAM
-               for a in actions):
+        if any(a.category == CAT_UPSTREAM for a in actions):
             sent = list(state.sent)
             sent[port] += 1
             state = state._replace(sent=tuple(sent))
