@@ -116,18 +116,12 @@ def _cmd_rules(args):
     return 0
 
 
-def _canonical_shapes(t, layering, class_of, count):
-    """The parenthesis string of each shape class 1..count: the subtree
-    hanging at one vertex of the class, over its lower-layer neighbours,
-    with the child strings sorted."""
-    layer_of = layering.layer_of
-    enc = [None] * (count + 1)
-    for i, layer in enumerate(layering.layers):
-        for v in layer:
-            if enc[class_of[v]] is None:
-                kids = sorted(enc[class_of[u]] for u in t.neighbors[v]
-                              if layer_of[u] < i)
-                enc[class_of[v]] = "(" + "".join(kids) + ")"
+def _canonical_shapes(children):
+    """The parenthesis string of each shape class 1..count, built in
+    class order from the strings of its child classes, sorted."""
+    enc = [None]
+    for kids in children[1:]:
+        enc.append("(" + "".join(sorted(enc[c] for c in kids)) + ")")
     return enc[1:]
 
 
@@ -147,8 +141,7 @@ def _cmd_layers(args):
         "shape_count": index.count,
         "class_of": list(index.class_of),
         "quota_of": [index.quota_of(v) for v in range(t.n)],
-        "canonical": _canonical_shapes(t, layering, index.class_of,
-                                       index.count),
+        "canonical": _canonical_shapes(index.children),
     }
     _emit(json.dumps(doc, sort_keys=True, indent=2), args.out)
     return 0

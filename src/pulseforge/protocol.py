@@ -250,10 +250,12 @@ def compile_even_rules(diameter):
 def compile_general_rules(t):
     """Rule set for a fully known tree that is not edge-symmetric.
 
-    One upstream rule per subtree shape except the last: its trigger is
-    the sorted send quotas of the shape root's children and its quota is
-    count - index. The leader rule comes from the final shape; with an
-    odd diameter the co-root contributes the lone remaining-port pulse.
+    One upstream rule per subtree shape i except the last, read off the
+    layering's shape index: its trigger is the send quotas of shape i's
+    children (ascending shapes, so descending quotas) and its quota is
+    count - i. The leader rule comes from the final shape's children;
+    with an odd diameter the co-root, not among them, contributes the
+    lone remaining-port pulse.
     """
     report = is_edge_symmetric(t)
     if report.symmetric:
@@ -261,29 +263,18 @@ def compile_general_rules(t):
     layering = layer_decomposition(t)
     idx = enumerate_subtrees(t, layering)
     k = idx.count
-    upstream = []
-    rep_of = {}
-    for v in range(t.n):
-        rep_of.setdefault(idx.class_of[v], v)
-    for i in range(1, k):
-        v = rep_of[i]
-        kids = [u for u in t.neighbors[v]
-                if layering.layer_of[u] < layering.layer_of[v]]
-        trigger = tuple(sorted((idx.quota_of(u) for u in kids), reverse=True))
-        upstream.append(UpstreamRule(
-            degree=len(kids) + 1, trigger=trigger, threshold=None,
-            target=idx.quota(i), source_index=i))
+    upstream = [
+        UpstreamRule(degree=len(kids) + 1,
+                     trigger=tuple(map(idx.quota, kids)), threshold=None,
+                     target=idx.quota(i), source_index=i)
+        for i, kids in enumerate(idx.children[1:k], 1)
+    ]
     _check_dominance(upstream)
-    root = layering.root
-    d = t.degree(root)
-    if layering.co_root is None:
-        trigger = tuple(sorted(
-            (idx.quota_of(u) for u in t.neighbors[root]), reverse=True))
-        leader = LeaderRule(degree=d, trigger=trigger, variant="all_ports")
-    else:
-        others = [u for u in t.neighbors[root] if u != layering.co_root]
-        trigger = tuple(sorted((idx.quota_of(u) for u in others), reverse=True))
-        leader = LeaderRule(degree=d, trigger=trigger, variant="remaining_one")
+    kids = idx.children[k]
+    odd = layering.co_root is not None
+    leader = LeaderRule(degree=len(kids) + odd,
+                        trigger=tuple(map(idx.quota, kids)),
+                        variant="remaining_one" if odd else "all_ports")
     return RuleSet("general", upstream, leader, shape_count=k)
 
 

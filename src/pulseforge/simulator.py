@@ -39,7 +39,6 @@ from .protocol import (
     LEADER,
     compile_even_rules,
     compile_general_rules,
-    OddDiameterError,
 )
 from .topology import layer_decomposition
 
@@ -139,6 +138,9 @@ class NetworkState:
     (v, the port at v that edge i arrives on), built once and shared
     by clones; dir_edges is built on first use.
 
+    The counters per directed edge are in_flight and delivered_edges;
+    the pulses sent on an edge are counted once, in the sender's `sent`.
+    total_pulses() is deliveries plus in_flight_total.
     Besides the counters, a state keeps what the run loop asks about on
     every delivery, updated as pulses move: `enabled`, the ascending
     indices of the nonempty directed edges; `in_flight_total`;
@@ -152,7 +154,7 @@ class NetworkState:
     """
 
     __slots__ = ("topology", "algorithm", "rules", "ids", "layering",
-                 "node_states", "in_flight", "sent_edges", "delivered_edges",
+                 "node_states", "in_flight", "delivered_edges",
                  "sent_by_category", "deliveries", "deliveries_to_halted",
                  "leader_step", "in_flight_at_leader", "violation",
                  "trace", "offset", "_dir_edges", "arrive", "enabled",
@@ -173,7 +175,6 @@ class NetworkState:
                                 chain.from_iterable(topology.back_ports)))
         self.node_states = []
         self.in_flight = in_flight = [0] * total
-        self.sent_edges = sent_edges = [0] * total
         self.delivered_edges = [0] * total
         self.sent_by_category = by_category = {cat: 0 for cat in CATEGORIES}
         self.deliveries = 0
@@ -204,7 +205,6 @@ class NetworkState:
             for port, count, category in sends:
                 ei = offset[v] + port
                 in_flight[ei] += count
-                sent_edges[ei] += count
                 by_category[category] += count
         (self.enabled, self.in_flight_total, self.halted_count,
          self.leaders) = self._scan()
@@ -221,7 +221,6 @@ class NetworkState:
         c.arrive = self.arrive
         c.node_states = list(self.node_states)
         c.in_flight = list(self.in_flight)
-        c.sent_edges = list(self.sent_edges)
         c.delivered_edges = list(self.delivered_edges)
         c.sent_by_category = dict(self.sent_by_category)
         c.deliveries = self.deliveries
@@ -266,7 +265,7 @@ class NetworkState:
         return self.in_flight_total
 
     def total_pulses(self):
-        return sum(self.sent_edges)
+        return self.deliveries + self.in_flight_total
 
     def leader_vertex(self):
         return self.leaders[0] if self.leaders else None
@@ -281,25 +280,18 @@ class NetworkState:
         return tuple(s.output for s in self.node_states)
 
     def blocked_vertices(self):
-        """Nodes stuck waiting out an election they can no longer win."""
-        return tuple(v for v, s in enumerate(self.node_states)
-                     if s.needed is not None and not s.halted)
+        return _blocked(self.node_states)
 
     def check_conservation(self):
-        """Check pulse conservation per edge, the per-edge send totals
-        against the senders' own counters, and the incrementally kept
-        fields against a full scan of the counters and node states."""
-        for i in range(len(self.in_flight)):
-            if self.sent_edges[i] != self.delivered_edges[i] + self.in_flight[i]:
-                raise AssertionError("conservation broken on edge %r"
-                                     % (self.dir_edges[i],))
+        """Check pulse conservation per edge, a sender's own count
+        against the pulses delivered and in flight there, and the
+        incrementally kept fields against a full scan."""
         for v, s in enumerate(self.node_states):
             for p, count in enumerate(s.sent):
                 i = self.offset[v] + p
-                if self.sent_edges[i] != count:
-                    raise AssertionError(
-                        "sent_edges[%d] is %d, but vertex %d sent %d on "
-                        "port %d" % (i, self.sent_edges[i], v, count, p))
+                if count != self.delivered_edges[i] + self.in_flight[i]:
+                    raise AssertionError("conservation broken on edge %r"
+                                         % (self.dir_edges[i],))
         for name, want in zip(("enabled", "in_flight_total", "halted_count",
                                "leaders"), self._scan()):
             if getattr(self, name) != want:
@@ -332,7 +324,6 @@ def _drive(state, pick, budget, once=False):
     in_flight = state.in_flight
     enabled = state.enabled
     node_states = state.node_states
-    sent_edges = state.sent_edges
     delivered_edges = state.delivered_edges
     by_category = state.sent_by_category
     arrive = state.arrive
@@ -402,7 +393,6 @@ def _drive(state, pick, budget, once=False):
                         insort(enabled, ej)
                     in_flight[ej] += count
                     total += count
-                    sent_edges[ej] += count
                     by_category[category] += count
         state.deliveries = deliveries
         state.in_flight_total = total
@@ -418,6 +408,12 @@ def _drive(state, pick, budget, once=False):
             return "quiescence_violated"
         if once:
             return None
+
+
+def _blocked(node_states):
+    """Nodes stuck waiting out an election they can no longer win."""
+    return tuple(v for v, s in enumerate(node_states)
+                 if s.needed is not None and not s.halted)
 
 
 def _digest(node_state):
@@ -453,9 +449,6 @@ def new_simulation(t, algorithm, ids=None, *, record_trace=False):
         raise ValueError("the %s algorithm takes no IDs" % algorithm)
     if algorithm == "even":
         layering = layer_decomposition(t)
-        if layering.diameter % 2 != 0:
-            raise OddDiameterError(
-                "tree has odd diameter %d" % layering.diameter)
         rules = compile_even_rules(layering.diameter)
         return NetworkState(t, algorithm, rules, None, layering,
                             record_trace)
@@ -802,9 +795,7 @@ def explore_all_schedules(t, algorithm, ids=None, *, max_states=10 ** 6):
                 ck = (leader, outputs, tuple(c for ns in at for c in ns.sent))
                 cls = classes.get(ck)
                 if cls is None:
-                    classes[ck] = [1, d2h, d2h, tuple(
-                        v for v, ns in enumerate(at)
-                        if ns.needed is not None and not ns.halted)]
+                    classes[ck] = [1, d2h, d2h, _blocked(at)]
                 else:
                     cls[0] += 1
                     cls[1] = min(cls[1], d2h)

@@ -159,7 +159,7 @@ def parse_edge_list(text):
 
 
 class Layering:
-    """Leaf-peeling decomposition of a tree.
+    """Leaf-peeling decomposition of a tree, the tree's one analysis.
 
     layers[i] holds the vertices removed in peeling round i; the last
     layer holds the one or two central vertices. Every non-root vertex
@@ -168,6 +168,9 @@ class Layering:
     comparator and the loser (co_root) is parented to the winner. When
     the two central subtrees are isomorphic no canonical choice exists
     and arbitrary_root is set; the lower vertex index is used then.
+    shapes is the SubtreeIndex of the tree's rooted subtree shapes; rule
+    compilation, the comparator and the CLI read it instead of scanning
+    the tree again.
     """
 
     __slots__ = (
@@ -179,12 +182,11 @@ class Layering:
         "diameter",
         "radius",
         "arbitrary_root",
-        "_class_of",
-        "_shape_count",
+        "shapes",
     )
 
     def __init__(self, layers, layer_of, parent_of, root, co_root,
-                 diameter, radius, arbitrary_root, class_of, shape_count):
+                 diameter, radius, arbitrary_root, shapes):
         self.layers = layers
         self.layer_of = layer_of
         self.parent_of = parent_of
@@ -193,8 +195,7 @@ class Layering:
         self.diameter = diameter
         self.radius = radius
         self.arbitrary_root = arbitrary_root
-        self._class_of = class_of
-        self._shape_count = shape_count
+        self.shapes = shapes
 
     def __repr__(self):
         return "Layering(radius=%d, diameter=%d, root=%d, co_root=%r)" % (
@@ -208,14 +209,17 @@ class SubtreeIndex:
     first, then fewer children, then recursively by the sorted child
     shape lists). class_of maps each vertex to the shape index of the
     subtree hanging at it; quota_of gives the derived send quota
-    count - class_of(v).
+    count - class_of(v). children[i] is the ascending tuple of shape
+    i's child shapes, one entry per lower-layer neighbor of a vertex
+    of that shape; children[0] is None.
     """
 
-    __slots__ = ("count", "class_of")
+    __slots__ = ("count", "class_of", "children")
 
-    def __init__(self, count, class_of):
+    def __init__(self, count, class_of, children=None):
         self.count = count
         self.class_of = class_of
+        self.children = children
 
     def quota(self, index):
         return self.count - index
@@ -240,12 +244,19 @@ class SymmetryReport:
 
 
 def _peel(t):
-    """Iterated leaf removal. Returns (layers, layer_of)."""
+    """Iterated leaf removal. Returns (layers, layer_of, parent_of).
+
+    A vertex's parent is its one neighbor not yet peeled when it is
+    peeled; the central vertices get None, and layer_decomposition
+    parents the co-root afterwards. Raises AssertionError unless every
+    vertex below the last layer has exactly one such neighbor.
+    """
     n = t.n
     if n == 1:
-        return (frozenset([0]),), (0,)
+        return (frozenset([0]),), (0,), [None]
     deg = [t.degree(v) for v in range(n)]
     layer_of = [-1] * n
+    parent_of = [None] * n
     layers = []
     current = [v for v in range(n) if deg[v] == 1]
     i = 0
@@ -257,41 +268,50 @@ def _peel(t):
         for v in current:
             for u in t.neighbors[v]:
                 if layer_of[u] == -1:
+                    if parent_of[v] is not None:
+                        raise AssertionError(
+                            "vertex %d has two higher-layer neighbors" % v)
+                    parent_of[v] = u
                     deg[u] -= 1
                     if deg[u] == 1:
                         nxt.append(u)
         current = sorted(nxt)
         i += 1
-    return tuple(layers), tuple(layer_of)
+    if parent_of.count(None) != len(layers[-1]):
+        raise AssertionError("a vertex below the last layer has no "
+                             "higher-layer neighbor")
+    return tuple(layers), tuple(layer_of), parent_of
 
 
-def _shape_classes(t, layers, layer_of):
-    """Assign 1-based shape indices bottom-up, one block per layer.
+def _shape_classes(layers, parent_of):
+    """The SubtreeIndex of the shapes, ranked bottom-up, one block per
+    layer.
 
     Within a layer, shapes are ordered by (child count, sorted child
     shape tuple); across layers lower peel rounds come first. Children
-    here are the strictly lower-layer neighbors, so the two central
-    vertices of an odd-diameter tree do not contain each other.
-    Returns class_of and the number of shapes.
+    here are the vertices a vertex parents in _peel, its strictly
+    lower-layer neighbors, so the two central vertices of an
+    odd-diameter tree do not contain each other. Each shape keeps its
+    sorted child-shape tuple as its entry of children.
     """
-    class_of = [0] * t.n
-    count = 0
-    for i, layer in enumerate(layers):
-        keyed = []
-        for v in layer:
-            kids = [u for u in t.neighbors[v] if layer_of[u] < i]
-            key = (len(kids), tuple(sorted(class_of[u] for u in kids)))
-            keyed.append((key, v))
+    kids = [[] for _ in parent_of]
+    class_of = [0] * len(parent_of)
+    children = [None]
+    for layer in layers:
+        keyed = [((len(kids[v]), tuple(sorted(kids[v]))), v) for v in layer]
         distinct = sorted(set(k for k, _ in keyed))
-        rank = {k: count + j + 1 for j, k in enumerate(distinct)}
+        rank = {k: len(children) + j for j, k in enumerate(distinct)}
+        children.extend(k[1] for k in distinct)
         for key, v in keyed:
             class_of[v] = rank[key]
-        count += len(distinct)
-    return tuple(class_of), count
+            if parent_of[v] is not None:
+                kids[parent_of[v]].append(class_of[v])
+    return SubtreeIndex(len(children) - 1, tuple(class_of), tuple(children))
 
 
 def layer_decomposition(t):
-    """Decompose t into peeling layers with a parent map.
+    """Decompose t into peeling layers with a parent map and its shape
+    index.
 
     The diameter is 2r when one vertex survives to the last round and
     2r+1 when two do. In the odd case the root is the central vertex
@@ -301,11 +321,10 @@ def layer_decomposition(t):
     """
     if t._layering is not None:
         return t._layering
-    layers, layer_of = _peel(t)
-    n = t.n
+    layers, layer_of, parent_of = _peel(t)
     r = len(layers) - 1
     top = sorted(layers[-1])
-    class_of, shape_count = _shape_classes(t, layers, layer_of)
+    shapes = _shape_classes(layers, parent_of)
     arbitrary = False
     if len(top) == 1:
         root, co_root = top[0], None
@@ -315,27 +334,16 @@ def layer_decomposition(t):
         if b not in t.neighbors[a]:
             raise AssertionError("central pair %r not adjacent" % (top,))
         diameter = 2 * r + 1
-        ca, cb = class_of[a], class_of[b]
+        ca, cb = shapes.class_of[a], shapes.class_of[b]
         if ca == cb:
             root, co_root, arbitrary = a, b, True
         elif ca > cb:
             root, co_root = a, b
         else:
             root, co_root = b, a
+        parent_of[co_root] = root
     else:
         raise AssertionError("peeling left %d central vertices" % len(top))
-    parent_of = [None] * n
-    for v in range(n):
-        if v == root:
-            continue
-        if v == co_root:
-            parent_of[v] = root
-            continue
-        ups = [u for u in t.neighbors[v] if layer_of[u] > layer_of[v]]
-        if len(ups) != 1:
-            raise AssertionError(
-                "vertex %d has %d higher-layer neighbors" % (v, len(ups)))
-        parent_of[v] = ups[0]
     t._layering = Layering(
         layers=layers,
         layer_of=layer_of,
@@ -345,20 +353,20 @@ def layer_decomposition(t):
         diameter=diameter,
         radius=r,
         arbitrary_root=arbitrary,
-        class_of=class_of,
-        shape_count=shape_count,
+        shapes=shapes,
     )
     return t._layering
 
 
 def enumerate_subtrees(t, layering):
-    """Index the distinct rooted subtree shapes of t.
+    """Index the distinct rooted subtree shapes of t: the one
+    SubtreeIndex that layer_decomposition built and stores as
+    layering.shapes.
 
     The root's subtree is always the last shape; with an odd diameter
     and an asymmetric tree the co-root's shape is the one before it.
     """
-    idx = SubtreeIndex(count=layering._shape_count,
-                       class_of=layering._class_of)
+    idx = layering.shapes
     if idx.class_of[layering.root] != idx.count:
         raise AssertionError("root subtree is not the final shape")
     return idx
@@ -371,8 +379,8 @@ def compare_subtrees(t, layering, a, b):
     subtrees are isomorphic; otherwise lower peel layer wins, then
     fewer children, then the recursive comparison of the child lists.
     """
-    idx = enumerate_subtrees(t, layering)
-    ca, cb = idx.class_of[a], idx.class_of[b]
+    class_of = layering.shapes.class_of
+    ca, cb = class_of[a], class_of[b]
     if ca < cb:
         return LESS
     if ca > cb:

@@ -12,6 +12,7 @@ from pulseforge.protocol import (
     CAT_UPSTREAM,
     LEADER,
     NONLEADER,
+    LeaderRule,
     UNDECIDED,
     NodeState,
     OddDiameterError,
@@ -29,7 +30,12 @@ from pulseforge.protocol import (
     on_deliver,
     stabilizing_step,
 )
-from pulseforge.topology import TreeTopology
+from pulseforge.topology import (
+    TreeTopology,
+    enumerate_subtrees,
+    is_edge_symmetric,
+    layer_decomposition,
+)
 
 
 def c5():
@@ -94,6 +100,46 @@ def test_compile_general_rules_rejects_symmetric():
     assert exc.value.witness_edge == (1, 2)
     with pytest.raises(SymmetricTreeError):
         compile_general_rules(path(2))
+
+
+def _rules_by_rescanning(t):
+    """The (upstream, leader, shape count) of t's general rule set,
+    derived by scanning the tree: a representative vertex per shape,
+    the quotas of its lower-layer neighbours sorted, and the root's
+    neighbours but the co-root for the leader rule."""
+    layering = layer_decomposition(t)
+    idx = enumerate_subtrees(t, layering)
+    rep_of = {}
+    for v in range(t.n):
+        rep_of.setdefault(idx.class_of[v], v)
+    upstream = []
+    for i in range(1, idx.count):
+        v = rep_of[i]
+        kids = [u for u in t.neighbors[v]
+                if layering.layer_of[u] < layering.layer_of[v]]
+        trigger = tuple(sorted((idx.quota_of(u) for u in kids), reverse=True))
+        upstream.append(UpstreamRule(
+            degree=len(kids) + 1, trigger=trigger, threshold=None,
+            target=idx.quota(i), source_index=i))
+    root = layering.root
+    others = [u for u in t.neighbors[root] if u != layering.co_root]
+    trigger = tuple(sorted((idx.quota_of(u) for u in others), reverse=True))
+    variant = "all_ports" if layering.co_root is None else "remaining_one"
+    leader = LeaderRule(degree=t.degree(root), trigger=trigger,
+                        variant=variant)
+    return tuple(upstream), leader, idx.count
+
+
+def test_compiled_general_rules_equal_a_rescan_of_the_tree():
+    trees = [TreeTopology(n, edges) for n in range(1, 11)
+             for edges in oracles.nonisomorphic_trees(n)]
+    trees = [t for t in trees if not is_edge_symmetric(t).symmetric]
+    trees += [random_asymmetric_tree(n, s) for n in (12, 30, 100, 300)
+              for s in range(4)]
+    for t in trees:
+        rules = compile_general_rules(t)
+        assert (rules.upstream, rules.leader, rules.shape_count) == \
+            _rules_by_rescanning(t), t.edges()
 
 
 def test_check_dominance_rejects_inconsistent_rules():

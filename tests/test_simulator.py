@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+from operator import add
 
 import pytest
 
@@ -384,7 +385,7 @@ def test_check_conservation_catches_stale_fields():
     broken = s.clone()
     leaf = broken.node_states[1]
     broken.node_states[1] = leaf._replace(sent=(leaf.sent[0] + 1,))
-    with pytest.raises(AssertionError, match="sent_edges"):
+    with pytest.raises(AssertionError, match="conservation"):
         broken.check_conservation()
 
 
@@ -896,7 +897,9 @@ def reference_explore(t, algorithm, ids=None, *, max_states=10 ** 6):
     NetworkState, delivers through _deliver and keys the child with
     NetworkState.key(). What a delivery did is read off the child: an
     absorbed pulse raises deliveries_to_halted, and a LEADER declaration
-    raises leader_count() and snapshots in_flight_at_leader.
+    raises leader_count() and snapshots in_flight_at_leader. A terminal
+    class's per-edge sends are the simulator's delivered plus in-flight
+    counts, not the automata's own sent counters that the explorer reads.
     explore_all_schedules must report exactly what this reports."""
     root = new_simulation(t, algorithm, ids)
     layering = root.layering
@@ -913,7 +916,7 @@ def reference_explore(t, algorithm, ids=None, *, max_states=10 ** 6):
         enabled = state.enabled_edges()
         if not enabled:
             ck = (state.leader_vertex(), state.outputs(),
-                  tuple(state.sent_edges))
+                  tuple(map(add, state.delivered_edges, state.in_flight)))
             d2h = state.deliveries_to_halted
             cls = classes.get(ck)
             if cls is None:
@@ -1145,15 +1148,41 @@ def test_explore_widens_its_slots_for_counters_past_two_bytes():
                               max_states=100000)
 
 
-@pytest.mark.parametrize("ids", [(1, 32767), (1, 32768), (40000, 2),
-                                 (65535, 1), (33000, 2, 1)])
+def _sha256(doc):
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()) \
+        .hexdigest()
+
+
+# The instances below have 66k-140k states, where reference_explore
+# takes seconds, so each test holds the sha256 of the reference's
+# report instead of running it. To recompute a pin, run the test's own
+# call with reference_explore in place of explore_all_schedules, under
+# the same monkeypatch, and hash its to_dict() (or _without_send_totals)
+# with _sha256.
+# ids -> _sha256(reference_explore(path(len(ids)), "stabilizing",
+# ids).to_dict()).
+_BOUNDARY_PINS = {
+    (1, 32767):
+    "c1c2c0164db8d23ad98124ad3d2d3b93782ece6b288b2c07a7e9a344b7565552",
+    (1, 32768):
+    "9c23f31451c16d387317cf592ebf057b4d280c8beb9bc57ca6f682be154b4461",
+    (40000, 2):
+    "a191654dc470543cec08720c4a8c9f90006033df99cd22280d029f52924f564d",
+    (65535, 1):
+    "fc4edd4cfcf8b793c14b5c1db3ccbeceec1bbbff9a50ba8b745ac900df62e1a6",
+    (33000, 2, 1):
+    "9ffa72770a1fba708974dcf09c659b7f4ba6872877e0a141c45bb6c5662cc0ce",
+}
+
+
+@pytest.mark.parametrize("ids", list(_BOUNDARY_PINS))
 def test_explore_at_the_field_width_boundaries_equals_reference(ids):
     # A 2-byte field holds values below 2**15. A leaf's election goes
     # down the edge that may still hold its leaf pulse, so (1, 32767)
     # puts 32768 pulses on one edge and (65535, 1) puts 65536 there.
     t = path(len(ids))
-    assert explore_all_schedules(t, "stabilizing", ids).to_dict() == \
-        reference_explore(t, "stabilizing", ids).to_dict()
+    assert _sha256(explore_all_schedules(t, "stabilizing", ids).to_dict()) \
+        == _BOUNDARY_PINS[ids]
 
 
 def test_explore_checks_counters_that_grow_across_deliveries(monkeypatch):
@@ -1170,8 +1199,11 @@ def test_explore_checks_counters_that_grow_across_deliveries(monkeypatch):
             actions = list(actions) + [Send(0, 22000, CAT_ELECTION)]
         return nxt, actions
     monkeypatch.setattr(protocol, "stabilizing_step", flooding)
-    assert explore_all_schedules(path(2), "stabilizing", (2, 3)).to_dict() \
-        == reference_explore(path(2), "stabilizing", (2, 3)).to_dict()
+    # _sha256(reference_explore(path(2), "stabilizing", (2, 3)).to_dict())
+    # under this monkeypatch.
+    pin = "8ac8d556b1bf1c3cc99df6edf4b29dae2d4dbe743b14ae08f9268f3fa67511d1"
+    assert _sha256(explore_all_schedules(path(2), "stabilizing",
+                                         (2, 3)).to_dict()) == pin
 
 
 def test_explore_rejects_a_negative_send(monkeypatch):
@@ -1214,7 +1246,7 @@ def test_explore_widens_its_fields_without_reading_sent(monkeypatch):
     # A broken automaton sends its election but leaves its sent counts
     # as they were, so only the actions say that 70000 pulses went out.
     # The terminal classes read the stale counts, the reference reads
-    # the per-edge totals, so those two fields may differ.
+    # the delivered pulses, so those two fields may differ.
     real = protocol.stabilizing_step
 
     def stale_sent(state, port):
@@ -1222,8 +1254,10 @@ def test_explore_widens_its_fields_without_reading_sent(monkeypatch):
         return nxt._replace(sent=state.sent), actions
     monkeypatch.setattr(protocol, "stabilizing_step", stale_sent)
     rep = explore_all_schedules(path(2), "stabilizing", (1, 70000))
-    assert _without_send_totals(rep) == _without_send_totals(
-        reference_explore(path(2), "stabilizing", (1, 70000)))
+    # _sha256(_without_send_totals(reference_explore(path(2),
+    # "stabilizing", (1, 70000)))) under this monkeypatch.
+    pin = "0258c03923bdd435fcbee8e3d134a4faf544d727648bbfeafee5a42af4f920c7"
+    assert _sha256(_without_send_totals(rep)) == pin
 
 
 def test_widening_the_fields_keeps_the_step_table(monkeypatch):

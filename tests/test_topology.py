@@ -184,6 +184,23 @@ def test_class_of_root_is_highest():
         assert idx.quota_of(lay.root) == 0
 
 
+def test_shape_children_are_the_classes_of_lower_layer_neighbours():
+    # The layering keeps each shape's child-shape tuple; every vertex of
+    # the shape must have exactly those classes below it.
+    for n in range(1, 11):
+        for edges in oracles.nonisomorphic_trees(n):
+            t = TreeTopology(n, edges)
+            lay = layer_decomposition(t)
+            idx = enumerate_subtrees(t, lay)
+            assert idx is lay.shapes is enumerate_subtrees(t, lay)
+            assert len(idx.children) == idx.count + 1
+            for v in range(n):
+                kids = sorted(idx.class_of[u] for u in t.neighbors[v]
+                              if lay.layer_of[u] < lay.layer_of[v])
+                assert idx.children[idx.class_of[v]] == tuple(kids), \
+                    (edges, v)
+
+
 def test_encode_parens_examples():
     assert encode_parens(path(3), 1) == "(()())"
     assert encode_parens(TreeTopology(1, []), 0) == "()"
