@@ -183,8 +183,8 @@ def _cmd_sweep(args):
         refuse_oversized_spec(GeneratorSpec(kind, n=ns[-1]))
         specs = [GeneratorSpec(kind, n=n) for n in ns]
     first = _seed(args)
-    seeds = [first + i for i in range(args.seeds)]
-    report = sweep(specs, args.alg, seeds, budget=args.budget)
+    report = sweep(specs, args.alg, range(first, first + args.seeds),
+                   budget=args.budget)
     if args.format == "csv":
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:

@@ -51,7 +51,7 @@ class OddDiameterError(ValueError):
 
 
 class RuleConsistencyError(ValueError):
-    """A compiled rule set failed the dominance/quota ordering check."""
+    """A compiled rule set has a trigger entry below 1."""
 
 
 class Send(NamedTuple):
@@ -96,11 +96,17 @@ class LeaderRule:
 
 
 _MISS = object()
-_NEVER = float("inf")
 
 
 class RuleSet:
-    """Compiled rules for one algorithm instance."""
+    """Compiled rules for one algorithm instance.
+
+    Construction builds everything matching reads: the fixed-degree
+    upstream rules grouped by degree as (target, trigger) pairs in
+    order of falling target, each degree's floor (the least first and
+    the least last trigger entry) and each degree's empty memo. An even
+    set has no fixed-degree rules, so it keeps no tables.
+    """
 
     def __init__(self, algorithm, upstream, leader, radius=None,
                  shape_count=None):
@@ -109,9 +115,6 @@ class RuleSet:
         self.leader = leader
         self.radius = radius
         self.shape_count = shape_count
-        self._by_degree = {}
-        self._quota_memo = {}
-        self._floor = {}
         # _evaluate relies on every trigger entry being at least 1: the
         # leader rule then needs every port to have heard a pulse, and
         # an upstream rule exactly one silent port, the remaining one.
@@ -120,18 +123,18 @@ class RuleSet:
             if rule.trigger and min(rule.trigger) < 1:
                 raise RuleConsistencyError(
                     "trigger %r has an entry below 1" % (rule.trigger,))
-
-    def triggers_for_degree(self, d):
-        """(target, trigger) of every fixed-degree upstream rule for
-        degree d, in order of falling target; filled in once per degree.
-        """
-        found = self._by_degree.get(d)
-        if found is None:
-            found = self._by_degree[d] = tuple(sorted(
-                ((rule.target, rule.trigger)
-                 for rule in self.upstream if rule.degree == d),
-                reverse=True))
-        return found
+        groups = {}
+        for rule in self.upstream:
+            if rule.degree is not None:
+                groups.setdefault(rule.degree, []).append(
+                    (rule.target, rule.trigger))
+        self._by_degree = {d: tuple(sorted(pairs, reverse=True))
+                           for d, pairs in groups.items()}
+        # A degree-1 trigger is empty and so is the rest it meets.
+        self._floor = {d: (min(w[0] for _, w in pairs),
+                           min(w[-1] for _, w in pairs))
+                       for d, pairs in groups.items() if d > 1}
+        self._quota_memo = {d: {} for d in groups}
 
     def upstream_quota(self, d, rest):
         """Quota of the upstream rule a degree-d node obeys when its
@@ -144,25 +147,22 @@ class RuleSet:
         no other port, and none below 1.
 
         A general answer depends on the rules alone, so it is memoised
-        in one dict per degree, keyed by rest, and every state that
-        holds this RuleSet (clones, steps, an exploration) shares it. A
-        rest that is below every trigger at its first or last entry can
-        match no rule; it is answered without a scan and kept out of the
-        memo. A miss scans triggers_for_degree(d): targets are distinct
-        and come falling, so the first trigger rest dominates carries
-        the largest quota, and a trigger whose largest entry exceeds
-        rest's largest cannot be dominated.
+        in the degree's dict, keyed by rest, and every state that holds
+        this RuleSet (clones, steps, an exploration) shares it. A degree
+        with no rule is answered None at once. A rest that is below
+        every trigger at its first or last entry can match no rule; it
+        is answered without a scan and kept out of the memo. A miss
+        scans the degree's rules: targets are distinct and come
+        falling, so the first trigger rest dominates carries the
+        largest quota, and a trigger whose largest entry exceeds rest's
+        largest cannot be dominated.
         """
         if self.algorithm == "even":
             quota = min(self.radius, rest[-1] - 1) if rest else self.radius
             return quota if quota >= 1 else None
         memo = self._quota_memo.get(d)
         if memo is None:
-            memo = self._quota_memo[d] = {}
-            wants = [want for _, want in self.triggers_for_degree(d) if want]
-            # The least tuple has the least first entry.
-            self._floor[d] = ((min(wants)[0], min([w[-1] for w in wants]))
-                              if wants else (_NEVER, _NEVER))
+            return None
         if rest:
             first, last = self._floor[d]
             if rest[0] < first or rest[-1] < last:
@@ -170,7 +170,7 @@ class RuleSet:
         quota = memo.get(rest, _MISS)
         if quota is _MISS:
             quota = None
-            for target, want in self.triggers_for_degree(d):
+            for target, want in self._by_degree[d]:
                 if want and want[0] > rest[0]:
                     continue
                 if _dominates(rest, want):
@@ -207,26 +207,6 @@ class RuleSet:
         return lines
 
 
-def _check_dominance(rules):
-    # Among same-degree rules, a componentwise greater-or-equal trigger
-    # must come with a strictly larger quota, otherwise matching would
-    # be ambiguous about which quota a node settles on.
-    by_degree = {}
-    for rule in rules:
-        by_degree.setdefault(rule.degree, []).append(rule)
-    for degree, group in by_degree.items():
-        for a in group:
-            for b in group:
-                if a is b:
-                    continue
-                if all(x >= y for x, y in zip(a.trigger, b.trigger)):
-                    if not a.target > b.target:
-                        raise RuleConsistencyError(
-                            "degree-%d triggers %r >= %r but quotas %d <= %d"
-                            % (degree, a.trigger, b.trigger,
-                               a.target, b.target))
-
-
 def compile_even_rules(diameter):
     """Rule set for a tree known only by its even diameter 2r.
 
@@ -256,6 +236,16 @@ def compile_general_rules(t):
     count - i. The leader rule comes from the final shape's children;
     with an odd diameter the co-root, not among them, contributes the
     lone remaining-port pulse.
+
+    Matching needs, among same-degree rules a != b, that a trigger
+    entrywise >= b's comes with a larger quota. The ranking gives it,
+    with no check: as quota = count - class, a's ascending child
+    classes are entrywise <= b's. A shape's layer is one more than its
+    highest child's, and classes are numbered layer by layer, so a's
+    layer is at most b's. A lower layer has smaller classes; within a
+    layer, equal degrees mean equal child counts, and a's child tuple
+    is lexicographically smaller. Either way a's class is smaller and
+    its quota larger. tests/oracles.py keeps the pairwise check.
     """
     report = is_edge_symmetric(t)
     if report.symmetric:
@@ -269,7 +259,6 @@ def compile_general_rules(t):
                      target=idx.quota(i), source_index=i)
         for i, kids in enumerate(idx.children[1:k], 1)
     ]
-    _check_dominance(upstream)
     kids = idx.children[k]
     odd = layering.co_root is not None
     leader = LeaderRule(degree=len(kids) + odd,

@@ -306,13 +306,9 @@ class NetworkState:
                 [v for v, s in enumerate(self.node_states)
                  if s.output == LEADER])
 
-    def _deliver(self, ei):
-        """Deliver one pulse along directed edge index ei (mutating)."""
-        _drive(self, lambda state, enabled: ei, None, once=True)
-
 
 def _drive(state, pick, budget, once=False):
-    """The one delivery loop; run and _deliver share it.
+    """The one delivery loop; run and step share it.
 
     Until a verdict, asks pick(state, enabled) for a directed-edge
     index and delivers one pulse on it (mutating), and returns run's
@@ -468,9 +464,9 @@ def step(state, edge):
 
     Returns the successor NetworkState; the input state is untouched.
     """
-    u, v = edge
+    ei = state.edge_index(*edge)
     nxt = state.clone()
-    nxt._deliver(nxt.edge_index(u, v))
+    _drive(nxt, lambda state, enabled: ei, None, once=True)
     return nxt
 
 

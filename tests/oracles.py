@@ -186,3 +186,23 @@ def brute_force_upstream(received, rules, up_port):
         if port is not None and (best is None or quota > best[0]):
             best = (quota, port)
     return best
+
+
+def dominance_violations(upstream):
+    """Pairs (a, b) of same-degree upstream rules, a is not b, whose
+    triggers are entrywise a >= b but whose quotas are not a > b: each
+    would leave matching ambiguous about which quota a node settles on.
+    Compares every pair; a consistent rule set gives []."""
+    by_degree = {}
+    for rule in upstream:
+        by_degree.setdefault(rule.degree, []).append(rule)
+    found = []
+    for group in by_degree.values():
+        for a in group:
+            for b in group:
+                if a is b:
+                    continue
+                if all(x >= y for x, y in zip(a.trigger, b.trigger)):
+                    if not a.target > b.target:
+                        found.append((a, b))
+    return found

@@ -349,6 +349,21 @@ def test_sweep_rejects_an_empty_seed_range(capsys, seeds):
     assert "Traceback" not in err
 
 
+def test_sweep_hands_over_its_seeds_as_a_range(capsys, monkeypatch):
+    # A range of any length costs the same to build; a list of 10^10
+    # seeds does not fit in memory. harness.sweep iterates it.
+    got = []
+
+    def sweep(specs, algorithm, seeds, budget):
+        got.append(seeds)
+        return harness.ExperimentReport(rows=[], failures=[])
+    monkeypatch.setattr(cli_module, "sweep", sweep)
+    code, _, err = run_cli(capsys, "sweep", "--gen", "path", "--n", "3",
+                           "--alg", "even", "--seeds", "3", "--seed", "5")
+    assert code == 0, err
+    assert got == [range(5, 8)]
+
+
 @pytest.mark.parametrize("tree", ["single", "c5"])
 @pytest.mark.parametrize("cap", ["0", "-5"])
 def test_mc_rejects_a_state_cap_below_one(capsys, tree, cap):

@@ -16,11 +16,9 @@ from pulseforge.protocol import (
     UNDECIDED,
     NodeState,
     OddDiameterError,
-    RuleConsistencyError,
     Send,
     SymmetricTreeError,
     UpstreamRule,
-    _check_dominance,
     _evaluate,
     compile_even_rules,
     compile_general_rules,
@@ -136,10 +134,13 @@ def test_compiled_general_rules_equal_a_rescan_of_the_tree():
     trees = [t for t in trees if not is_edge_symmetric(t).symmetric]
     trees += [random_asymmetric_tree(n, s) for n in (12, 30, 100, 300)
               for s in range(4)]
+    trees += [random_asymmetric_tree(800, s) for s in range(2)]
     for t in trees:
         rules = compile_general_rules(t)
         assert (rules.upstream, rules.leader, rules.shape_count) == \
             _rules_by_rescanning(t), t.edges()
+        # The shape ranking alone orders same-degree quotas by trigger.
+        assert oracles.dominance_violations(rules.upstream) == [], t.edges()
 
 
 def test_check_dominance_rejects_inconsistent_rules():
@@ -149,8 +150,7 @@ def test_check_dominance_rejects_inconsistent_rules():
         UpstreamRule(degree=3, trigger=(3, 2), threshold=None, target=1,
                      source_index=2),
     )
-    with pytest.raises(RuleConsistencyError):
-        _check_dominance(rules)
+    assert oracles.dominance_violations(rules) == [(rules[1], rules[0])]
 
 
 def test_match_trigger_examples():
@@ -184,6 +184,13 @@ UPSTREAM_RULE_SETS = (
        for n, seed in ((12, 1), (25, 2), (40, 3))])
 
 
+def _general_degrees(rules):
+    """The degrees of a general set's upstream rules, then one above
+    them that has none, so that matching meets a degree without rules."""
+    degrees = sorted({r.degree for r in rules.upstream})
+    return degrees + [degrees[-1] + 1]
+
+
 def _quota_triggers(rules, d):
     return [(r.target,
              (r.threshold,) * (d - 1) if r.degree is None else r.trigger)
@@ -197,13 +204,12 @@ def test_upstream_choice_matches_brute_force(data):
     if rules.algorithm == "even":
         d = data.draw(st.integers(1, 6))
     else:
-        d = data.draw(st.sampled_from(sorted({r.degree
-                                              for r in rules.upstream})))
+        d = data.draw(st.sampled_from(_general_degrees(rules)))
     pairs = _quota_triggers(rules, d)
     # Counts near trigger entries, so that some rules match and some
-    # just miss.
-    near = sorted({0} | {x + e for _, trig in pairs for x in trig
-                         for e in (-1, 0, 1) if x + e >= 0})
+    # just miss; 1 and 2 reach the degree without rules.
+    near = sorted({0, 1, 2} | {x + e for _, trig in pairs for x in trig
+                               for e in (-1, 0, 1) if x + e >= 0})
     received = data.draw(st.lists(st.sampled_from(near), min_size=d,
                                   max_size=d))
     up_port = data.draw(st.none() | st.integers(0, d - 1))
@@ -234,11 +240,10 @@ def test_memoised_upstream_match_equals_brute_force_when_warm(data):
     if rules.algorithm == "even":
         d = data.draw(st.integers(1, 4))
     else:
-        d = data.draw(st.sampled_from(sorted({r.degree
-                                              for r in rules.upstream})))
+        d = data.draw(st.sampled_from(_general_degrees(rules)))
     pairs = _quota_triggers(rules, d)
-    near = sorted({0} | {x + e for _, trig in pairs for x in trig
-                         for e in (-1, 0, 1) if x + e >= 0})
+    near = sorted({0, 1, 2} | {x + e for _, trig in pairs for x in trig
+                               for e in (-1, 0, 1) if x + e >= 0})
     received = data.draw(st.lists(st.sampled_from(near), min_size=d,
                                   max_size=d))
     up_port = data.draw(st.none() | st.integers(0, d - 1))
@@ -260,6 +265,9 @@ def test_memoised_upstream_match_equals_brute_force_when_warm(data):
         rest = tuple(sorted(received[:port] + received[port + 1:],
                             reverse=True))
         assert rules._quota_memo[d][rest] == quota
+    # Memos exist for the rules' degrees only, from construction on.
+    assert set(rules._quota_memo) == {r.degree for r in rules.upstream
+                                      if r.degree is not None}
 
 
 @pytest.mark.parametrize("r", [0, 1, 2, 5])
