@@ -19,8 +19,10 @@ from .harness import (
     refuse_oversized_spec,
     resolve_tree,
     sweep,
+    sweep_rows,
     verify_model_check,
     verify_outcome,
+    write_csv,
 )
 from .protocol import compile_even_rules, compile_general_rules
 from .simulator import (
@@ -183,17 +185,25 @@ def _cmd_sweep(args):
         refuse_oversized_spec(GeneratorSpec(kind, n=ns[-1]))
         specs = [GeneratorSpec(kind, n=n) for n in ns]
     first = _seed(args)
-    report = sweep(specs, args.alg, range(first, first + args.seeds),
-                   budget=args.budget)
-    if args.format == "csv":
-        if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                report.write_csv(fh)
-        else:
-            report.write_csv(sys.stdout)
-    else:
+    seeds = range(first, first + args.seeds)
+    if args.format == "json":
+        # The document puts "passed" before "rows", so it waits for all.
+        report = sweep(specs, args.alg, seeds, budget=args.budget)
         _emit(report.to_json(), args.out)
-    return _report_failures(report.failures)
+        return _report_failures(report.failures)
+    failures = []
+
+    def rows():
+        for row, failed in sweep_rows(specs, args.alg, seeds,
+                                      budget=args.budget):
+            failures.extend(failed)
+            yield row
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            write_csv(fh, rows())
+    else:
+        write_csv(sys.stdout, rows())
+    return _report_failures(failures)
 
 
 def _cmd_encode(args):

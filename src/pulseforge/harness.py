@@ -17,6 +17,7 @@ import random
 import re
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .protocol import LEADER, OddDiameterError, SymmetricTreeError
 from .simulator import SeededRandom, new_simulation, run
@@ -315,19 +316,25 @@ class ExperimentReport:
                            "rows": self.rows}, sort_keys=True, indent=2)
 
     def write_csv(self, fh):
-        fh.write("# %s\n" % SWEEP_SCHEMA)
-        writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
-        writer.writeheader()
-        for row in self.rows:
-            cells = {}
-            for k, v in row.items():
-                if isinstance(v, bool):
-                    cells[k] = "true" if v else "false"
-                elif isinstance(v, float):
-                    cells[k] = "%.6f" % v
-                else:
-                    cells[k] = v
-            writer.writerow(cells)
+        write_csv(fh, self.rows)
+
+
+def write_csv(fh, rows):
+    """The schema line, the header and then each row, written as the
+    iterable yields it."""
+    fh.write("# %s\n" % SWEEP_SCHEMA)
+    writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
+    writer.writeheader()
+    for row in rows:
+        cells = {}
+        for k, v in row.items():
+            if isinstance(v, bool):
+                cells[k] = "true" if v else "false"
+            elif isinstance(v, float):
+                cells[k] = "%.6f" % v
+            else:
+                cells[k] = v
+        writer.writerow(cells)
 
 
 def _sweep_one(spec, algorithm, seed, budget):
@@ -367,13 +374,28 @@ def _sweep_one(spec, algorithm, seed, budget):
     return row, failures
 
 
+def sweep_rows(specs, algorithm, seeds, *, budget=0):
+    """Run algorithm on every spec x seed pair and yield each (row,
+    failures) as soon as it is done, in row order: by generator label,
+    n, algorithm and seed, equal keys in spec-then-seed order. A label
+    fixes n and a sweep has one algorithm, so the pairs are put in that
+    order before they run, and no row waits for a later one."""
+    if not (isinstance(seeds, range) and seeds.step > 0):
+        seeds = sorted(seeds)
+
+    def pairs(spec):
+        label = spec.label()
+        return (((label, seed), spec, seed) for seed in seeds)
+    # merge breaks ties by stream, so equal keys keep the spec order.
+    for _, spec, seed in heapq.merge(*map(pairs, specs),
+                                     key=itemgetter(0)):
+        yield _sweep_one(spec, algorithm, seed, budget)
+
+
 def sweep(specs, algorithm, seeds, *, budget=0):
     """Run algorithm on every spec x seed pair; rows sorted, aggregate
     pass iff every run passes verify_outcome."""
-    results = [_sweep_one(spec, algorithm, seed, budget)
-               for spec in specs for seed in seeds]
-    results.sort(key=lambda rf: (rf[0]["generator"], rf[0]["n"],
-                                 rf[0]["algorithm"], rf[0]["seed"]))
+    results = list(sweep_rows(specs, algorithm, seeds, budget=budget))
     return ExperimentReport(rows=[row for row, _ in results],
                             failures=[c for _, fs in results for c in fs])
 

@@ -20,8 +20,9 @@ sits an exhaustive explorer that walks every reachable interleaving of
 small instances. It keeps each visited state as one int key of
 fixed-width fields (interned node-state indices, then in-flight
 counters; values below 2**15 while the fields are 2 bytes wide),
-steps each node through a StepTable of its own, and takes a transition
-by adding a delta computed once per (state, edge).
+steps each node through a StepTable of its own, takes a transition
+by adding a delta computed once per (state, edge), and finds a state's
+nonempty edges with one add-and-mask on its key.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import hashlib
 import random
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress
+from itertools import accumulate, chain
 from sys import byteorder
 
 from . import protocol
@@ -696,6 +697,14 @@ def explore_all_schedules(t, algorithm, ids=None, *, max_states=10 ** 6):
     field. The first value past it redoes the walk with 8-byte fields,
     and the step table serves both walks. A pulse counter of c >= 2**63
     means more than c states.
+    A popped state is not decoded field by field. Adding headroom - 1
+    to every counter field leaves a field's top bit set exactly when
+    its counter is nonzero, so (key + fill) & busy is a mask of the
+    nonempty edges; a table per walk maps each mask to its edges in
+    ascending order. A zero mask is a terminal state, and the mask's
+    bits on parent-to-child edges count the direction violations. A
+    receiver's index is read by a shift. Only terminal states, the
+    headroom error and a LEADER declaration decode the whole key.
 
     Terminal states (nothing in flight) are grouped into classes by
     leader, outputs, and per-directed-edge send totals. Per-transition
@@ -737,6 +746,18 @@ def explore_all_schedules(t, algorithm, ids=None, *, max_states=10 ** 6):
         code = "H" if width == 2 else "Q"
         nbytes = width * (n + m)
         unit = [1 << (bits * (n + ei)) for ei in range(m)]
+        # On a key that passed the headroom check, (key + fill) & busy
+        # keeps the top bit of each nonzero counter: a field below limit
+        # plus limit - 1 reaches limit only when it is nonzero, and
+        # stays below 2 * limit, so nothing carries.
+        flag = [limit * u for u in unit]    # each counter's top bit
+        busy = sum(flag)
+        fill = busy - sum(unit)
+        ww_mask = 0 if wrong_way is None else sum(
+            f for f, w in zip(flag, wrong_way) if w)
+        shift = [bits * v for v in receiver]   # to the receiver's field
+        field = 2 * limit - 1
+        patterns = {}    # mask -> its enabled edges, ascending
         deltas = [{} for _ in range(m)]   # per edge: index -> (delta,
                                           # None, "absorbed" or "declares")
 
@@ -761,6 +782,10 @@ def explore_all_schedules(t, algorithm, ids=None, *, max_states=10 ** 6):
             deltas[ei][i] = found
             return found
 
+        def decode(key):
+            """The fields of a state key, node indices first."""
+            return memoryview(key.to_bytes(nbytes, byteorder)).cast(code)
+
         fields = [intern(ns) for ns in root.node_states] + root.in_flight
         if max(fields) >= limit:
             raise _PastHeadroom(max(fields))
@@ -769,7 +794,6 @@ def explore_all_schedules(t, algorithm, ids=None, *, max_states=10 ** 6):
         # Each entry holds a state and its books: the deliveries to
         # halted nodes on the path that found it, and its leader count.
         stack = [(start, (0, len(root.leaders)))]
-        edges = range(m)
         classes = {}
         transitions = 0
         direction_violations = 0
@@ -779,13 +803,11 @@ def explore_all_schedules(t, algorithm, ids=None, *, max_states=10 ** 6):
         while stack:
             key, books = stack.pop()
             d2h, leader_count = books
-            state = memoryview(key.to_bytes(nbytes, byteorder)).cast(code)
             if key & top:
-                raise _PastHeadroom(max(state))
-            counters = state[n:]
-            enabled = list(compress(edges, counters))
-            if not enabled:
-                at = [nodes[i] for i in state[:n]]
+                raise _PastHeadroom(max(decode(key)))
+            mask = (key + fill) & busy
+            if not mask:
+                at = [nodes[i] for i in decode(key)[:n]]
                 outputs = tuple(ns.output for ns in at)
                 leader = outputs.index(LEADER) if LEADER in outputs else None
                 ck = (leader, outputs, tuple(c for ns in at for c in ns.sent))
@@ -797,16 +819,21 @@ def explore_all_schedules(t, algorithm, ids=None, *, max_states=10 ** 6):
                     cls[1] = min(cls[1], d2h)
                     cls[2] = max(cls[2], d2h)
                 continue
+            enabled = patterns.get(mask)
+            if enabled is None:
+                enabled = patterns[mask] = tuple(
+                    ei for ei in range(m) if mask & flag[ei])
             transitions += len(enabled)
             if leader_count > 1:
                 multi_leader += len(enabled)
-            elif not leader_count and wrong_way:
-                direction_violations += sum(compress(wrong_way, counters))
+            elif not leader_count:
+                direction_violations += (mask & ww_mask).bit_count()
             for ei in enabled:
+                i = (key >> shift[ei]) & field
                 try:
-                    d, event = deltas[ei][state[receiver[ei]]]
+                    d, event = deltas[ei][i]
                 except KeyError:
-                    d, event = delta(state[receiver[ei]], ei)
+                    d, event = delta(i, ei)
                 child = key + d
                 child_books = books
                 if event:
@@ -816,7 +843,7 @@ def explore_all_schedules(t, algorithm, ids=None, *, max_states=10 ** 6):
                     else:
                         if leader_count == 1:
                             multi_leader += 1
-                        if sum(counters) > 1:
+                        if sum(decode(key)[n:]) > 1:
                             nonquiescent += 1
                         child_books = (d2h, leader_count + 1)
                 if child not in seen:

@@ -364,6 +364,32 @@ def test_sweep_hands_over_its_seeds_as_a_range(capsys, monkeypatch):
     assert got == [range(5, 8)]
 
 
+def test_a_csv_sweep_writes_each_row_before_the_next_runs(capsys,
+                                                          monkeypatch):
+    # Rows run in their sorted order, where random(n=10) comes before
+    # random(n=9), and each is written when it is done, so a long CSV
+    # sweep holds no rows.
+    started = []
+
+    def sweep_one(spec, algorithm, seed, budget):
+        started.append((spec.label(), seed, capsys.readouterr().out))
+        return {"generator": spec.label(), "n": spec.n,
+                "algorithm": algorithm, "seed": seed}, []
+    monkeypatch.setattr(harness, "_sweep_one", sweep_one)
+    code, out, err = run_cli(capsys, "sweep", "--gen", "random", "--n",
+                             "9..10", "--alg", "even", "--seeds", "2",
+                             "--format", "csv")
+    assert code == 0, err
+    assert [(label, seed) for label, seed, _ in started] == [
+        ("random(n=10)", 0), ("random(n=10)", 1),
+        ("random(n=9)", 0), ("random(n=9)", 1)]
+    lines = "".join(text for _, _, text in started).splitlines()
+    assert lines[2:] == ["random(n=10),10,,even,0,,,,,,",
+                         "random(n=10),10,,even,1,,,,,,",
+                         "random(n=9),9,,even,0,,,,,,"]
+    assert out.splitlines() == ["random(n=9),9,,even,1,,,,,,"]
+
+
 @pytest.mark.parametrize("tree", ["single", "c5"])
 @pytest.mark.parametrize("cap", ["0", "-5"])
 def test_mc_rejects_a_state_cap_below_one(capsys, tree, cap):

@@ -1186,6 +1186,18 @@ def test_explore_at_the_field_width_boundaries_equals_reference(ids):
         == _BOUNDARY_PINS[ids]
 
 
+def test_explore_of_binary3_general_is_pinned():
+    # 196,039 states and 1,228,760 transitions over 28 directed edges,
+    # with thousands of distinct sets of nonempty edges: a walk the
+    # small-shape corpus does not reach. The pin is
+    # _sha256(reference_explore(resolve_tree("binary3"),
+    # "general").to_dict()), which takes about 12 s.
+    rep = explore_all_schedules(resolve_tree("binary3"), "general")
+    assert (rep.states, rep.transitions) == (196039, 1228760)
+    assert _sha256(rep.to_dict()) == \
+        "e374101e4260b18e2150802bc377da52b1f0f26a9c859e2da17426ab0ad05f73"
+
+
 def test_explore_checks_counters_that_grow_across_deliveries(monkeypatch):
     # Each of the three pulses into the node with ID 3 sends 22000 more
     # back. No single send reaches 2**15, yet one edge can come to hold
