@@ -18,11 +18,11 @@ from .harness import (
     pulse_bound,
     refuse_oversized_spec,
     resolve_tree,
-    sweep,
     sweep_rows,
     verify_model_check,
     verify_outcome,
     write_csv,
+    write_json,
 )
 from .protocol import compile_even_rules, compile_general_rules
 from .simulator import (
@@ -186,11 +186,6 @@ def _cmd_sweep(args):
         specs = [GeneratorSpec(kind, n=n) for n in ns]
     first = _seed(args)
     seeds = range(first, first + args.seeds)
-    if args.format == "json":
-        # The document puts "passed" before "rows", so it waits for all.
-        report = sweep(specs, args.alg, seeds, budget=args.budget)
-        _emit(report.to_json(), args.out)
-        return _report_failures(report.failures)
     failures = []
 
     def rows():
@@ -198,11 +193,17 @@ def _cmd_sweep(args):
                                       budget=args.budget):
             failures.extend(failed)
             yield row
+
+    def write(fh):
+        if args.format == "json":
+            write_json(fh, rows(), failures)
+        else:
+            write_csv(fh, rows())
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            write_csv(fh, rows())
+            write(fh)
     else:
-        write_csv(sys.stdout, rows())
+        write(sys.stdout)
     return _report_failures(failures)
 
 

@@ -15,6 +15,8 @@ import json
 import os
 import random
 import re
+import shutil
+import tempfile
 import time
 from dataclasses import dataclass
 from operator import itemgetter
@@ -335,6 +337,25 @@ def write_csv(fh, rows):
             else:
                 cells[k] = v
         writer.writerow(cells)
+
+
+def write_json(fh, rows, failures):
+    """Write the document ExperimentReport.to_json() gives, and a
+    newline, for rows, an iterable that fills the list failures as it
+    yields. "passed" precedes "rows" there, so each row is spooled to a
+    temporary file as it is yielded, and memory does not grow with the
+    row count."""
+    with tempfile.TemporaryFile("w+", encoding="utf-8") as spool:
+        sep = "\n"
+        for row in rows:
+            text = json.dumps(row, sort_keys=True, indent=2)
+            spool.write(sep + "    " + text.replace("\n", "\n    "))
+            sep = ",\n"
+        spool.seek(0)
+        fh.write('{\n  "passed": %s,\n  "rows": [' % json.dumps(not failures))
+        shutil.copyfileobj(spool, fh)
+        fh.write('%s],\n  "schema": %s\n}\n'
+                 % ("" if sep == "\n" else "\n  ", json.dumps(SWEEP_SCHEMA)))
 
 
 def _sweep_one(spec, algorithm, seed, budget):

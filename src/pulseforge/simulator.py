@@ -13,15 +13,16 @@ pulse depends only on its state and the arrival port, so one
 StepTable per network state computes every reply: the successor and
 its sends. A node's decision and halt are fields of its state, so a
 declaration is read off the successor's output, and a trace lists it
-after the sends. Even runs also store replies across vertices, within
-a memory bound set by the tree, and a wrapper on protocol.on_deliver
-sees only the steps the table misses. On top of the single-run loop
-sits an exhaustive explorer that walks every reachable interleaving of
-small instances. It keeps each visited state as one int key of
-fixed-width fields (interned node-state indices, then in-flight
-counters; values below 2**15 while the fields are 2 bytes wide),
-steps each node through a StepTable of its own, takes a transition
-by adding a delta computed once per (state, edge), and finds a state's
+after the sends. Even runs also intern node states in the table,
+within a memory bound set by the tree, and keep each node's index, so
+a delivery reads a stored reply by index and port without hashing a
+state; a wrapper on protocol.on_deliver sees only the steps the table
+misses. On top of the single-run loop sits an exhaustive explorer that
+walks every reachable interleaving of small instances. It keeps each
+visited state as one int key of fixed-width fields (the indices of its
+node states in a StepTable of its own, then in-flight counters; values
+below 2**15 while the fields are 2 bytes wide), takes a transition by
+adding a delta computed once per (state, edge), and finds a state's
 nonempty edges with one add-and-mask on its key.
 """
 
@@ -38,6 +39,7 @@ from . import protocol
 from .protocol import (
     CATEGORIES,
     LEADER,
+    NodeState,
     compile_even_rules,
     compile_general_rules,
 )
@@ -82,26 +84,37 @@ def _normalize_ids(t, ids):
     return ids
 
 
-class StepTable(dict):
-    """A live node's reply to one pulse, per (node state, arrival port).
+class StepTable:
+    """A live node's reply to one pulse, per interned node state and
+    arrival port.
 
-    Pulses carry no content, so the reply depends on nothing else. An
-    entry is (successor, its Sends, whether its output turns LEADER).
+    Pulses carry no content, so the reply depends on nothing else. A
+    reply is (successor, its Sends, whether its output turns LEADER).
     The automaton is read off the protocol module when the table is
     built, so a wrapper put there beforehand sees every step the table
     computes.
 
-    room is how many more counters (one per port) the stored keys may
-    hold. A state that does not fit is stepped without the table,
-    neither looked up nor stored, so a hub's states neither fill memory
-    nor cost a hash of all their counters per delivery.
+    The table interns node states: nodes[i] is the state of index i,
+    index maps a state back to i, and rows[i] has one slot per port of
+    nodes[i], None until that port is first stepped. A filled slot is
+    (successor's index, successor, sends, declares), so a caller that
+    keeps a node's index finds its reply with two list lookups and no
+    hash. A slot is filled only when the successor is interned too.
+
+    room is how many more counters (one per port) the interned states
+    may hold; each state is charged once. A state that does not fit
+    gets index None and is stepped without the table, so a hub's states
+    neither fill memory nor cost a hash of all their counters per
+    delivery.
     """
 
-    __slots__ = ("room", "_automaton")
+    __slots__ = ("room", "nodes", "index", "rows", "_automaton")
 
     def __init__(self, algorithm, rules, room):
-        super().__init__()
         self.room = room
+        self.nodes = []
+        self.index = {}
+        self.rows = []
         if algorithm == "stabilizing":
             self._automaton = protocol.stabilizing_step
         else:
@@ -109,8 +122,8 @@ class StepTable(dict):
             self._automaton = lambda ns, port: on_deliver(ns, rules, port)
 
     def react(self, ns, port):
-        """The entry for (ns, port), computed afresh; raises ValueError
-        when the node sends a negative number of pulses."""
+        """The reply of ns to a pulse on port, computed afresh; raises
+        ValueError when the node sends a negative number of pulses."""
         new_state, sends = self._automaton(ns, port)
         for send in sends:
             if send.count < 0:
@@ -118,16 +131,29 @@ class StepTable(dict):
                                  "pulses: %r" % (send,))
         return new_state, sends, new_state.output == LEADER != ns.output
 
-    def step(self, ns, port):
-        """The entry for (ns, port), stored when ns fits in room."""
-        size = len(ns.received)
-        if size > self.room:
-            return self.react(ns, port)
-        found = self.get((ns, port))
-        if found is None:
-            found = self[ns, port] = self.react(ns, port)
+    def intern(self, ns):
+        """The index of ns, interned now if it fits in room; None when
+        it does not."""
+        i = self.index.get(ns)
+        if i is None:
+            size = len(ns.received)
+            if not self.room or size > self.room:
+                return None
             self.room -= size
-        return found
+            i = self.index[ns] = len(self.nodes)
+            self.nodes.append(ns)
+            self.rows.append([None] * size)
+        return i
+
+    def fill(self, i, port):
+        """The slot of interned state i for port, computed by react and
+        stored when its successor is interned."""
+        ns, sends, declares = self.react(self.nodes[i], port)
+        j = self.intern(ns)
+        if j is None:
+            return None, ns, sends, declares
+        slot = self.rows[i][port] = (j, self.nodes[j], sends, declares)
+        return slot
 
 
 class NetworkState:
@@ -151,7 +177,8 @@ class NetworkState:
     `moves`, the StepTable every delivery steps through. Its room is the
     directed-edge count for even runs and 0 for the others, whose steps
     repeat too seldom to pay for storing them; their deliveries call
-    the table's react directly.
+    the table's react directly. `node_indices` holds each node state's
+    index in moves, or None for a state the table did not intern.
     """
 
     __slots__ = ("topology", "algorithm", "rules", "ids", "layering",
@@ -159,7 +186,8 @@ class NetworkState:
                  "sent_by_category", "deliveries", "deliveries_to_halted",
                  "leader_step", "in_flight_at_leader", "violation",
                  "trace", "offset", "_dir_edges", "arrive", "enabled",
-                 "in_flight_total", "halted_count", "leaders", "moves")
+                 "in_flight_total", "halted_count", "leaders", "moves",
+                 "node_indices")
 
     def __init__(self, topology, algorithm, rules, ids, layering,
                  record_trace=False):
@@ -184,20 +212,27 @@ class NetworkState:
         self.in_flight_at_leader = None
         self.violation = None
         self.trace = [] if record_trace else None
-        self.moves = StepTable(algorithm, rules,
-                               total if algorithm == "even" else 0)
-        # A rule-driven start depends on the degree alone, so each
-        # degree's state and sends are built once and shared.
+        self.moves = moves = StepTable(algorithm, rules,
+                                       total if algorithm == "even" else 0)
+        self.node_indices = []
+        # A start depends on the degree alone, apart from a stabilizing
+        # node's ID, so each degree's state, index and sends are built
+        # once and shared; a stabilizing node gets its own ID (its
+        # table has no room, so the index is None).
         starts = {}
         for v, d in enumerate(degrees):
+            start = starts.get(d)
+            if start is None:
+                if algorithm == "stabilizing":
+                    state, sends = protocol.init_stabilizing(d, None)
+                else:
+                    state, sends = protocol.init_node(d, rules)
+                start = starts[d] = state, moves.intern(state), sends
+            state, index, sends = start
             if algorithm == "stabilizing":
-                state, sends = protocol.init_stabilizing(d, ids[v])
-            else:
-                start = starts.get(d)
-                if start is None:
-                    start = starts[d] = protocol.init_node(d, rules)
-                state, sends = start
+                state = tuple.__new__(NodeState, state[:-1] + (ids[v],))
             self.node_states.append(state)
+            self.node_indices.append(index)
             if state.output == LEADER:
                 # Only an isolated vertex declares at init, with
                 # nothing in flight towards it.
@@ -220,21 +255,22 @@ class NetworkState:
         c.offset = self.offset
         c._dir_edges = self._dir_edges
         c.arrive = self.arrive
-        c.node_states = list(self.node_states)
-        c.in_flight = list(self.in_flight)
-        c.delivered_edges = list(self.delivered_edges)
-        c.sent_by_category = dict(self.sent_by_category)
+        c.node_states = self.node_states.copy()
+        c.in_flight = self.in_flight.copy()
+        c.delivered_edges = self.delivered_edges.copy()
+        c.sent_by_category = self.sent_by_category.copy()
         c.deliveries = self.deliveries
         c.deliveries_to_halted = self.deliveries_to_halted
         c.leader_step = self.leader_step
         c.in_flight_at_leader = self.in_flight_at_leader
         c.violation = self.violation
-        c.trace = None if self.trace is None else list(self.trace)
-        c.enabled = list(self.enabled)
+        c.trace = None if self.trace is None else self.trace.copy()
+        c.enabled = self.enabled.copy()
         c.in_flight_total = self.in_flight_total
         c.halted_count = self.halted_count
-        c.leaders = list(self.leaders)
+        c.leaders = self.leaders.copy()
         c.moves = self.moves
+        c.node_indices = self.node_indices.copy()
         return c
 
     @property
@@ -285,8 +321,15 @@ class NetworkState:
 
     def check_conservation(self):
         """Check pulse conservation per edge, a sender's own count
-        against the pulses delivered and in flight there, and the
-        incrementally kept fields against a full scan."""
+        against the pulses delivered and in flight there, each interned
+        index against its node state, and the incrementally kept fields
+        against a full scan."""
+        nodes = self.moves.nodes
+        if len(self.node_indices) != len(self.node_states) or any(
+                i is not None and nodes[i] != s
+                for i, s in zip(self.node_indices, self.node_states)):
+            raise AssertionError("node_indices %r do not index node_states"
+                                 % (self.node_indices,))
         for v, s in enumerate(self.node_states):
             for p, count in enumerate(s.sent):
                 i = self.offset[v] + p
@@ -326,9 +369,11 @@ def _drive(state, pick, budget, once=False):
     arrive = state.arrive
     offset = state.offset
     trace = state.trace
+    node_indices = state.node_indices
     moves = state.moves
-    # A table with neither room nor entries can only compute replies.
-    reply = moves.step if moves.room or moves else moves.react
+    react = moves.react
+    # Only a table that interned a state can hold a node's index.
+    rows = moves.rows if moves.nodes else None
     general = state.algorithm == "general"
     stabilizing = state.algorithm == "stabilizing"
     n = len(node_states)
@@ -372,7 +417,13 @@ def _drive(state, pick, budget, once=False):
                 violated = True
             sends = ()
         else:
-            new_state, sends, declares = reply(receiver, port)
+            if rows is not None and (i := node_indices[v]) is not None:
+                slot = rows[i][port]
+                if slot is None:
+                    slot = moves.fill(i, port)
+                node_indices[v], new_state, sends, declares = slot
+            else:
+                new_state, sends, declares = react(receiver, port)
             node_states[v] = new_state
             if new_state.halted:
                 state.halted_count += 1
@@ -476,15 +527,19 @@ class SeededRandom:
 
     def __init__(self, seed):
         self.seed = seed
-        self._rng = random.Random(seed)
-        # randrange(k) is _randbelow(k) for every k >= 1: the same draws
-        # without randrange's argument checks.
-        self._below = self._rng._randbelow
+        self._bits = random.Random(seed).getrandbits
 
     def pick(self, state, enabled):
-        if not enabled:
+        # randrange(k) draws k.bit_length() bits until they fall below
+        # k on CPython 3.10 to 3.13; this loop draws the same.
+        k = len(enabled)
+        if not k:
             raise NoPulseInFlightError("nothing in flight")
-        return enabled[self._below(len(enabled))]
+        bits = k.bit_length()
+        r = self._bits(bits)
+        while r >= k:
+            r = self._bits(bits)
+        return enabled[r]
 
 
 class RoundRobin:
@@ -679,14 +734,14 @@ def explore_all_schedules(t, algorithm, ids=None, *, max_states=10 ** 6):
     """Exhaustively walk every delivery interleaving of one instance.
 
     Depth-first with an explicit stack and a visited set; the branch
-    point is which nonempty directed edge delivers next. Distinct node
-    states are interned, and a global state is one int key of
-    fixed-width unsigned fields: n interned indices, then the m
-    in-flight counters. It partitions states exactly as
-    NetworkState.key() does.
-    Pulses carry no content, so a live node's reply depends only on its
-    state and the arrival port; a StepTable with no room limit computes
-    each such step once. From it comes a delta per (state, edge): the
+    point is which nonempty directed edge delivers next. Pulses carry
+    no content, so a live node's reply depends only on its state and
+    the arrival port; a StepTable with no room limit interns every node
+    state and computes each such step once. A global state is one int
+    key of fixed-width unsigned fields: the table's indices of the n
+    node states, then the m in-flight counters. It partitions states
+    exactly as NetworkState.key() does. From the table's slot for
+    (index, arrival port) comes a delta per (state, edge): the
     receiver's index change, one pulse less on the delivered edge and
     the sends on the receiver's outgoing edges, so a transition is
     key + delta. A pulse absorbed by a halted node is key minus the
@@ -725,16 +780,8 @@ def explore_all_schedules(t, algorithm, ids=None, *, max_states=10 ** 6):
     layering = root.layering
     wrong_way = None if layering is None else [
         layering.parent_of[u] != v for u, v in root.dir_edges]
-    index = {}    # NodeState -> interned index
-    nodes = []    # interned index -> NodeState
     steps = StepTable(algorithm, root.rules, float("inf"))
-
-    def intern(ns):
-        i = index.get(ns)
-        if i is None:
-            i = index[ns] = len(nodes)
-            nodes.append(ns)
-        return i
+    nodes, rows, intern = steps.nodes, steps.rows, steps.intern
 
     def walk(width):
         """The whole walk and its report, with fields width bytes wide;
@@ -767,11 +814,12 @@ def explore_all_schedules(t, algorithm, ids=None, *, max_states=10 ** 6):
                 found = (-unit[ei], "absorbed")
             else:
                 v = receiver[ei]
-                ns, sends, declares = steps.step(nodes[i], arrival[ei])
+                port = arrival[ei]
+                nxt, _, sends, declares = (rows[i][port]
+                                           or steps.fill(i, port))
                 totals = {}
                 for p, c, _ in sends:
                     totals[p] = totals.get(p, 0) + c
-                nxt = intern(ns)
                 d = ((nxt - i) << (bits * v)) - unit[ei]
                 for p, c in totals.items():
                     d += c << (bits * (n + offset[v] + p))

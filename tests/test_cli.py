@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
@@ -351,17 +352,19 @@ def test_sweep_rejects_an_empty_seed_range(capsys, seeds):
 
 def test_sweep_hands_over_its_seeds_as_a_range(capsys, monkeypatch):
     # A range of any length costs the same to build; a list of 10^10
-    # seeds does not fit in memory. harness.sweep iterates it.
+    # seeds does not fit in memory. harness.sweep_rows iterates it.
     got = []
 
-    def sweep(specs, algorithm, seeds, budget):
+    def sweep_rows(specs, algorithm, seeds, budget):
         got.append(seeds)
-        return harness.ExperimentReport(rows=[], failures=[])
-    monkeypatch.setattr(cli_module, "sweep", sweep)
-    code, _, err = run_cli(capsys, "sweep", "--gen", "path", "--n", "3",
-                           "--alg", "even", "--seeds", "3", "--seed", "5")
-    assert code == 0, err
-    assert got == [range(5, 8)]
+        return iter(())
+    monkeypatch.setattr(cli_module, "sweep_rows", sweep_rows)
+    for form in ("json", "csv"):
+        code, _, err = run_cli(capsys, "sweep", "--gen", "path", "--n", "3",
+                               "--alg", "even", "--seeds", "3", "--seed",
+                               "5", "--format", form)
+        assert code == 0, err
+    assert got == [range(5, 8)] * 2
 
 
 def test_a_csv_sweep_writes_each_row_before_the_next_runs(capsys,
@@ -388,6 +391,55 @@ def test_a_csv_sweep_writes_each_row_before_the_next_runs(capsys,
                          "random(n=10),10,,even,1,,,,,,",
                          "random(n=9),9,,even,0,,,,,,"]
     assert out.splitlines() == ["random(n=9),9,,even,1,,,,,,"]
+
+
+def test_a_json_sweep_spools_each_row_before_the_next_runs(capsys,
+                                                            monkeypatch,
+                                                            tmp_path):
+    # "passed" comes before "rows", so no row can be printed before the
+    # last has run; each is spooled to a file instead of held.
+    spools = []
+    real = tempfile.TemporaryFile
+
+    def spool(*args, **kwargs):
+        spools.append(real(*args, **kwargs))
+        return spools[-1]
+    monkeypatch.setattr(tempfile, "TemporaryFile", spool)
+    started = []
+    made = []
+
+    def sweep_one(spec, algorithm, seed, budget):
+        f = spools[-1]
+        at = f.tell()
+        f.seek(0)
+        started.append((f.read(), capsys.readouterr().out))
+        f.seek(at)
+        row = {"generator": spec.label(), "n": spec.n, "seed": seed,
+               "leader_ok": seed != 1, "wall_time": 0.25}
+        failed = [{"name": "%s seed %d: completed" % (spec.label(), seed),
+                   "ok": False, "expected": True, "observed": False}
+                  ] if seed == 1 else []
+        made.append((row, failed))
+        return row, failed
+    monkeypatch.setattr(harness, "_sweep_one", sweep_one)
+    argv = ["sweep", "--gen", "random", "--n", "9..10", "--alg", "even",
+            "--seeds", "2"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and err.count("check failed") == 2
+    assert len(started) == 4
+    for k, (spooled, printed) in enumerate(started):
+        assert printed == ""
+        assert spooled.count('"generator"') == k
+        for row, _ in made[:k]:
+            assert json.dumps(row["seed"]) in spooled
+    report = harness.ExperimentReport(
+        rows=[row for row, _ in made],
+        failures=[c for _, failed in made for c in failed])
+    assert out == report.to_json() + "\n"
+    target = tmp_path / "sweep.json"
+    code, printed, _ = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 1 and printed == ""
+    assert target.read_text(encoding="utf-8") == out
 
 
 @pytest.mark.parametrize("tree", ["single", "c5"])

@@ -25,9 +25,11 @@ from pulseforge.harness import (
     resolve_tree,
     star_tree,
     stabilizing_pair_total,
+    ExperimentReport,
     sweep,
     verify_model_check,
     verify_outcome,
+    write_json,
 )
 from pulseforge.protocol import OddDiameterError, SymmetricTreeError
 from pulseforge.simulator import (
@@ -284,6 +286,25 @@ def test_sweep_csv_schema():
     cells = lines[2].split(",")
     assert cells[0] == "path(n=3)"
     assert cells[6] == "true" and cells[9] == "true"
+
+
+def test_a_streamed_json_sweep_equals_the_report():
+    failing = sweep([GeneratorSpec("path", n=5)], "even", [0, 1], budget=3)
+    assert failing.failures
+    reports = [sweep([GeneratorSpec("path", n=3)], "even", range(3)),
+               failing,
+               sweep([GeneratorSpec("star", n=4)], "even", [7]),
+               ExperimentReport(rows=[], failures=[])]
+    for report in reports:
+        failures = []
+
+        def rows():
+            for row in report.rows:
+                yield row
+            failures.extend(report.failures)
+        buf = io.StringIO()
+        write_json(buf, rows(), failures)
+        assert buf.getvalue() == report.to_json() + "\n"
 
 
 def test_builtin_trees():

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import sys
 from operator import add
 
 import pytest
@@ -19,6 +20,7 @@ from pulseforge.protocol import (
     RuleSet,
     Send,
     UpstreamRule,
+    init_stabilizing,
 )
 from pulseforge.simulator import (
     AdversaryScript,
@@ -230,6 +232,27 @@ def test_stabilizing_id_validation():
         new_simulation(t, "stabilizing", {0: 1, 1: 2})
     s = new_simulation(t, "stabilizing", {0: 5, 1: 1, 2: 3})
     assert s.ids == (5, 1, 3)
+
+
+def test_stabilizing_starts_equal_init_stabilizing():
+    cases = [(t, ids) for t in _shapes(5)
+             for ids in itertools.permutations(range(1, t.n + 1))]
+    for seed in range(3):
+        ids = list(range(1, 1001))
+        random.Random(seed).shuffle(ids)
+        cases.append((random_tree(1000, seed), ids))
+    for t, ids in cases:
+        s = new_simulation(t, "stabilizing", ids)
+        in_flight = []
+        for v, ns in enumerate(s.node_states):
+            want, sends = init_stabilizing(t.degree(v), ids[v])
+            assert type(ns) is NodeState and ns == want
+            counts = [0] * t.degree(v)
+            for port, count, _ in sends:
+                counts[port] += count
+            in_flight += counts
+        assert s.in_flight == in_flight
+        s.check_conservation()
 
 
 def test_unknown_algorithm_rejected():
@@ -492,6 +515,21 @@ def test_seeded_random_draws_what_randrange_draws():
         assert sched.picks == outcome.deliveries > 0
     with pytest.raises(NoPulseInFlightError):
         SeededRandom(0).pick(None, [])
+
+
+def test_seeded_picks_equal_randrange():
+    # pick repeats randrange's rejection loop over getrandbits; a list
+    # is never longer than sys.maxsize, so neither is k.
+    ks = [1, 2, 3, 4, 5, 6, 7, 8, 9, 100, 255, 256, 257, 1023, 1024, 1025]
+    ks += [k for e in (31, 32, 33, 53, 62) for k in (2 ** e - 1, 2 ** e,
+                                                    2 ** e + 1)]
+    ks.append(sys.maxsize)
+    for seed in (0, 1, 7, 2024, 2 ** 40 + 3):
+        mixed = ks + random.Random(seed).choices(ks, k=600)
+        picker = SeededRandom(seed)
+        draws = random.Random(seed)
+        assert [picker.pick(None, range(k)) for k in mixed] == \
+            [draws.randrange(k) for k in mixed]
 
 
 class ModularScan:
@@ -812,11 +850,19 @@ def test_step_memo_calls_the_automaton_once_per_stored_step(monkeypatch):
         return real(state, rules, port)
     monkeypatch.setattr(protocol, "on_deliver", spy)
     s = new_simulation(binary(8), "even")
+    table = s.moves
     for seed in range(3):
         assert run(s, SeededRandom(seed), 10 ** 6).status == "terminated"
-        assert s.moves.room > 0
-        assert len(seen) == len(set(seen)) == len(s.moves)
-        assert set(seen) == set(s.moves)
+        assert table.room > 0
+        stored = {(table.nodes[i], port): slot
+                  for i, row in enumerate(table.rows)
+                  for port, slot in enumerate(row) if slot is not None}
+        assert len(seen) == len(set(seen)) == len(stored)
+        assert set(seen) == set(stored)
+    for (ns, port), (j, succ, sends, declares) in stored.items():
+        assert succ is table.nodes[j] and table.index[succ] == j
+        assert (succ, sends) == real(ns, s.rules, port)
+        assert declares == (succ.output == LEADER != ns.output)
 
 
 @pytest.mark.parametrize("algorithm,ids", [("general", None),
@@ -826,7 +872,11 @@ def test_only_the_even_automaton_is_memoised(algorithm, ids):
     assert s.moves.room == 0
     assert run(s, SeededRandom(0), 10 ** 4).deliveries > 0
     assert s.clone().moves is s.moves
-    assert s.moves.room == 0 and not s.moves
+    assert s.moves.room == 0
+    assert not s.moves.nodes and not s.moves.index and not s.moves.rows
+    assert s.node_indices == [None] * 5
+    even = new_simulation(binary(2), "even")
+    assert even.moves.room > 0 and None not in even.node_indices
 
 
 @pytest.mark.parametrize("algorithm,ids", [("general", None),
@@ -834,9 +884,12 @@ def test_only_the_even_automaton_is_memoised(algorithm, ids):
 def test_a_table_without_room_is_never_looked_up(monkeypatch, algorithm,
                                                   ids):
     s = new_simulation(c5(), algorithm, ids)
-    monkeypatch.setattr(StepTable, "step", None)   # a lookup would raise
+    # A lookup or an attempt to store would raise.
+    monkeypatch.setattr(StepTable, "intern", None)
+    monkeypatch.setattr(StepTable, "fill", None)
     assert run(s, SeededRandom(0), 10 ** 4).deliveries > 0
-    assert step(s, s.dir_edges[s.enabled[0]]).deliveries == 1
+    nxt = step(s, s.dir_edges[s.enabled[0]])
+    assert nxt.deliveries == 1 and nxt.node_indices == [None] * 5
 
 
 def test_step_memo_keys_hold_no_more_counters_than_directed_edges():
@@ -849,12 +902,20 @@ def test_step_memo_keys_hold_no_more_counters_than_directed_edges():
             ei = state.enabled_edges()[end]
             simulator._drive(state, lambda state, enabled: ei, None,
                              once=True)
-            stored = sum(len(ns.received) for ns, _ in s.moves)
+            stored = sum(len(ns.received) for ns in s.moves.nodes)
             assert stored + s.moves.room == edges
             assert stored <= edges
+            assert sum(map(len, s.moves.rows)) == stored
         assert state.all_halted()
-    # The hub's first steps fill the memo; the rest are not stored.
-    assert len(s.moves) < 10
+        state.check_conservation()
+        # The hub's later states did not fit, so it left the table.
+        assert state.node_indices[0] is None
+    s.check_conservation()
+    # The hub's first states fill the table; the rest are not interned,
+    # and no slot holds a successor the room was not charged for.
+    assert len(s.moves.nodes) < 10
+    assert all(slot[1] is s.moves.nodes[slot[0]]
+               for row in s.moves.rows for slot in row if slot)
 
 
 def _snapshot(state):
