@@ -171,6 +171,9 @@ def _cmd_mc(args):
 def _cmd_sweep(args):
     if args.seeds < 1:
         raise ValueError("--seeds must be at least 1, got %d" % args.seeds)
+    if args.budget < 0:
+        raise ValueError("--budget must not be negative, got %d"
+                         % args.budget)
     ns = _parse_range(args.n) if args.n else [None]
     radii = _parse_range(args.radius) if args.radius else [None]
     kind = args.gen.replace("-", "_")

@@ -20,10 +20,10 @@ state; a wrapper on protocol.on_deliver sees only the steps the table
 misses. On top of the single-run loop sits an exhaustive explorer that
 walks every reachable interleaving of small instances. It keeps each
 visited state as one int key of fixed-width fields (the indices of its
-node states in a StepTable of its own, then in-flight counters; values
-below 2**15 while the fields are 2 bytes wide), takes a transition by
-adding a delta computed once per (state, edge), and finds a state's
-nonempty edges with one add-and-mask on its key.
+node states in a StepTable of its own, then in-flight counters; wide
+enough for any value the walk can meet below its state cap), takes a
+transition by adding a delta computed once per (state, edge), and
+finds a state's nonempty edges with one add-and-mask on its key.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import random
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from itertools import accumulate, chain
-from sys import byteorder
+from math import ceil
 
 from . import protocol
 from .protocol import (
@@ -52,10 +52,6 @@ class NoPulseInFlightError(ValueError):
 
 class StateCapExceededError(RuntimeError):
     pass
-
-
-class _PastHeadroom(Exception):
-    """A value the explorer's fields cannot hold; args[0] is the value."""
 
 
 class MissingIdsError(ValueError):
@@ -746,20 +742,22 @@ def explore_all_schedules(t, algorithm, ids=None, *, max_states=10 ** 6):
     the sends on the receiver's outgoing edges, so a transition is
     key + delta. A pulse absorbed by a halted node is key minus the
     edge's unit.
-    Fields start 2 bytes wide and hold values below 2**15; the top bit
-    of each is headroom. Every delta's fields and every popped state
-    are checked against it, so no sum carries into a neighbouring
-    field. The first value past it redoes the walk with 8-byte fields,
-    and the step table serves both walks. A pulse counter of c >= 2**63
-    means more than c states.
+    Fields are (max_states + n).bit_length() + 1 bits wide, at most 64.
+    A pulse counter of c means more than c states, since delivering
+    those pulses one at a time passes through c + 1 of them, and each
+    node state past the n starts is first met in a new state; so no
+    field reaches max_states + n within the cap. The top bit of each
+    field is headroom. Every delta's fields and every popped state are
+    checked against it, so no sum carries into a neighbouring field; a
+    value past it means more states than the cap, or than 2**63.
     A popped state is not decoded field by field. Adding headroom - 1
     to every counter field leaves a field's top bit set exactly when
     its counter is nonzero, so (key + fill) & busy is a mask of the
-    nonempty edges; a table per walk maps each mask to its edges in
-    ascending order. A zero mask is a terminal state, and the mask's
-    bits on parent-to-child edges count the direction violations. A
-    receiver's index is read by a shift. Only terminal states, the
-    headroom error and a LEADER declaration decode the whole key.
+    nonempty edges; a table maps each mask to its edges in ascending
+    order. A zero mask is a terminal state, and the mask's bits on
+    parent-to-child edges count the direction violations. A receiver's
+    index is read by a shift. Only terminal states, the headroom error
+    and a LEADER declaration decode the whole key.
 
     Terminal states (nothing in flight) are grouped into classes by
     leader, outputs, and per-directed-edge send totals. Per-transition
@@ -782,155 +780,145 @@ def explore_all_schedules(t, algorithm, ids=None, *, max_states=10 ** 6):
         layering.parent_of[u] != v for u, v in root.dir_edges]
     steps = StepTable(algorithm, root.rules, float("inf"))
     nodes, rows, intern = steps.nodes, steps.rows, steps.intern
+    # Caps of 2**63 or more, float("inf") among them, get 64 bits.
+    cap = max_states if max_states < 1 << 63 else 1 << 63
+    bits = min((ceil(cap) + n).bit_length() + 1, 64)
+    limit = 1 << (bits - 1)
+    top = sum(limit << (bits * f) for f in range(n + m))
+    unit = [1 << (bits * (n + ei)) for ei in range(m)]
+    # On a key that passed the headroom check, (key + fill) & busy keeps
+    # the top bit of each nonzero counter: a field below limit plus
+    # limit - 1 reaches limit only when it is nonzero, and stays below
+    # 2 * limit, so nothing carries.
+    flag = [limit * u for u in unit]    # each counter's top bit
+    busy = sum(flag)
+    fill = busy - sum(unit)
+    ww_mask = 0 if wrong_way is None else sum(
+        f for f, w in zip(flag, wrong_way) if w)
+    shift = [bits * v for v in receiver]   # to the receiver's field
+    field = 2 * limit - 1
+    patterns = {}    # mask -> its enabled edges, ascending
+    deltas = [{} for _ in range(m)]   # per edge: index -> (delta, None,
+                                      # "absorbed" or "declares")
 
-    def walk(width):
-        """The whole walk and its report, with fields width bytes wide;
-        raises _PastHeadroom at the first value of 2**(8*width - 1) or
-        more."""
-        bits = 8 * width
-        limit = 1 << (bits - 1)
-        top = sum(limit << (bits * f) for f in range(n + m))
-        code = "H" if width == 2 else "Q"
-        nbytes = width * (n + m)
-        unit = [1 << (bits * (n + ei)) for ei in range(m)]
-        # On a key that passed the headroom check, (key + fill) & busy
-        # keeps the top bit of each nonzero counter: a field below limit
-        # plus limit - 1 reaches limit only when it is nonzero, and
-        # stays below 2 * limit, so nothing carries.
-        flag = [limit * u for u in unit]    # each counter's top bit
-        busy = sum(flag)
-        fill = busy - sum(unit)
-        ww_mask = 0 if wrong_way is None else sum(
-            f for f, w in zip(flag, wrong_way) if w)
-        shift = [bits * v for v in receiver]   # to the receiver's field
-        field = 2 * limit - 1
-        patterns = {}    # mask -> its enabled edges, ascending
-        deltas = [{} for _ in range(m)]   # per edge: index -> (delta,
-                                          # None, "absorbed" or "declares")
+    def past_headroom(value):
+        # A value past the headroom means more states than the cap,
+        # or, in 64-bit fields, more than the value (a pulse counter).
+        return StateCapExceededError("more than %d states"
+                                     % min(max_states, value))
 
-        def delta(i, ei):
-            if nodes[i].halted:
-                # The pulse is absorbed; only the books remember it.
-                found = (-unit[ei], "absorbed")
+    def decode(key):
+        """The fields of a state key, node indices first."""
+        return [(key >> (bits * f)) & field for f in range(n + m)]
+
+    def delta(i, ei):
+        if nodes[i].halted:
+            # The pulse is absorbed; only the books remember it.
+            found = (-unit[ei], "absorbed")
+        else:
+            v = receiver[ei]
+            port = arrival[ei]
+            nxt, _, sends, declares = rows[i][port] or steps.fill(i, port)
+            totals = {}
+            for p, c, _ in sends:
+                totals[p] = totals.get(p, 0) + c
+            d = ((nxt - i) << (bits * v)) - unit[ei]
+            for p, c in totals.items():
+                d += c << (bits * (n + offset[v] + p))
+            big = max([nxt, *totals.values()])
+            if big >= limit:
+                raise past_headroom(big)
+            found = (d, "declares" if declares else None)
+        deltas[ei][i] = found
+        return found
+
+    fields = [intern(ns) for ns in root.node_states] + root.in_flight
+    if max(fields) >= limit:
+        raise past_headroom(max(fields))
+    start = sum(x << (bits * f) for f, x in enumerate(fields))
+    seen = {start}
+    # Each entry holds a state and its books: the deliveries to halted
+    # nodes on the path that found it, and its leader count.
+    stack = [(start, (0, len(root.leaders)))]
+    classes = {}
+    transitions = 0
+    direction_violations = 0
+    halted_deliveries = 0
+    nonquiescent = 0
+    multi_leader = 0
+    while stack:
+        key, books = stack.pop()
+        d2h, leader_count = books
+        if key & top:
+            raise past_headroom(max(decode(key)))
+        mask = (key + fill) & busy
+        if not mask:
+            at = [nodes[i] for i in decode(key)[:n]]
+            outputs = tuple(ns.output for ns in at)
+            leader = outputs.index(LEADER) if LEADER in outputs else None
+            ck = (leader, outputs, tuple(c for ns in at for c in ns.sent))
+            cls = classes.get(ck)
+            if cls is None:
+                classes[ck] = [1, d2h, d2h, _blocked(at)]
             else:
-                v = receiver[ei]
-                port = arrival[ei]
-                nxt, _, sends, declares = (rows[i][port]
-                                           or steps.fill(i, port))
-                totals = {}
-                for p, c, _ in sends:
-                    totals[p] = totals.get(p, 0) + c
-                d = ((nxt - i) << (bits * v)) - unit[ei]
-                for p, c in totals.items():
-                    d += c << (bits * (n + offset[v] + p))
-                big = max([nxt, *totals.values()])
-                if big >= limit:
-                    raise _PastHeadroom(big)
-                found = (d, "declares" if declares else None)
-            deltas[ei][i] = found
-            return found
-
-        def decode(key):
-            """The fields of a state key, node indices first."""
-            return memoryview(key.to_bytes(nbytes, byteorder)).cast(code)
-
-        fields = [intern(ns) for ns in root.node_states] + root.in_flight
-        if max(fields) >= limit:
-            raise _PastHeadroom(max(fields))
-        start = sum(x << (bits * f) for f, x in enumerate(fields))
-        seen = {start}
-        # Each entry holds a state and its books: the deliveries to
-        # halted nodes on the path that found it, and its leader count.
-        stack = [(start, (0, len(root.leaders)))]
-        classes = {}
-        transitions = 0
-        direction_violations = 0
-        halted_deliveries = 0
-        nonquiescent = 0
-        multi_leader = 0
-        while stack:
-            key, books = stack.pop()
-            d2h, leader_count = books
-            if key & top:
-                raise _PastHeadroom(max(decode(key)))
-            mask = (key + fill) & busy
-            if not mask:
-                at = [nodes[i] for i in decode(key)[:n]]
-                outputs = tuple(ns.output for ns in at)
-                leader = outputs.index(LEADER) if LEADER in outputs else None
-                ck = (leader, outputs, tuple(c for ns in at for c in ns.sent))
-                cls = classes.get(ck)
-                if cls is None:
-                    classes[ck] = [1, d2h, d2h, _blocked(at)]
+                cls[0] += 1
+                cls[1] = min(cls[1], d2h)
+                cls[2] = max(cls[2], d2h)
+            continue
+        enabled = patterns.get(mask)
+        if enabled is None:
+            enabled = patterns[mask] = tuple(
+                ei for ei in range(m) if mask & flag[ei])
+        transitions += len(enabled)
+        if leader_count > 1:
+            multi_leader += len(enabled)
+        elif not leader_count:
+            direction_violations += (mask & ww_mask).bit_count()
+        for ei in enabled:
+            i = (key >> shift[ei]) & field
+            try:
+                d, event = deltas[ei][i]
+            except KeyError:
+                d, event = delta(i, ei)
+            child = key + d
+            child_books = books
+            if event:
+                if event == "absorbed":
+                    halted_deliveries += 1
+                    child_books = (d2h + 1, leader_count)
                 else:
-                    cls[0] += 1
-                    cls[1] = min(cls[1], d2h)
-                    cls[2] = max(cls[2], d2h)
-                continue
-            enabled = patterns.get(mask)
-            if enabled is None:
-                enabled = patterns[mask] = tuple(
-                    ei for ei in range(m) if mask & flag[ei])
-            transitions += len(enabled)
-            if leader_count > 1:
-                multi_leader += len(enabled)
-            elif not leader_count:
-                direction_violations += (mask & ww_mask).bit_count()
-            for ei in enabled:
-                i = (key >> shift[ei]) & field
-                try:
-                    d, event = deltas[ei][i]
-                except KeyError:
-                    d, event = delta(i, ei)
-                child = key + d
-                child_books = books
-                if event:
-                    if event == "absorbed":
-                        halted_deliveries += 1
-                        child_books = (d2h + 1, leader_count)
-                    else:
-                        if leader_count == 1:
-                            multi_leader += 1
-                        if sum(decode(key)[n:]) > 1:
-                            nonquiescent += 1
-                        child_books = (d2h, leader_count + 1)
-                if child not in seen:
-                    if len(seen) >= max_states:
-                        raise StateCapExceededError(
-                            "more than %d states" % max_states)
-                    seen.add(child)
-                    stack.append((child, child_books))
-        terminal_classes = [
-            TerminalClass(
-                leader=ck[0], outputs=ck[1], per_edge_sent=ck[2],
-                total_pulses=sum(ck[2]),
-                deliveries_to_halted_min=rec[1],
-                deliveries_to_halted_max=rec[2],
-                blocked=rec[3], states=rec[0])
-            for ck, rec in sorted(classes.items(),
-                                  key=lambda kv: (str(kv[0][0]), kv[0][1]))
-        ]
-        leaders = tuple(sorted({c.leader for c in terminal_classes
-                                if c.leader is not None}))
-        return ModelCheckReport(
-            algorithm=algorithm,
-            states=len(seen),
-            transitions=transitions,
-            terminal_classes=terminal_classes,
-            confluent=len(terminal_classes) == 1,
-            leaders=leaders,
-            direction_violations=direction_violations,
-            halted_delivery_transitions=halted_deliveries,
-            nonquiescent_declarations=nonquiescent,
-            multi_leader_states=multi_leader,
-        )
-
-    for width in (2, 8):
-        try:
-            return walk(width)
-        except _PastHeadroom as past:
-            big = past.args[0]
-    # Only a pulse counter, or one send, can reach 2**63. Delivering its
-    # big pulses one at a time passes through more than big states.
-    raise StateCapExceededError("more than %d states"
-                                % min(max_states, big))
+                    if leader_count == 1:
+                        multi_leader += 1
+                    if sum(decode(key)[n:]) > 1:
+                        nonquiescent += 1
+                    child_books = (d2h, leader_count + 1)
+            if child not in seen:
+                if len(seen) >= max_states:
+                    raise StateCapExceededError(
+                        "more than %d states" % max_states)
+                seen.add(child)
+                stack.append((child, child_books))
+    terminal_classes = [
+        TerminalClass(
+            leader=ck[0], outputs=ck[1], per_edge_sent=ck[2],
+            total_pulses=sum(ck[2]),
+            deliveries_to_halted_min=rec[1],
+            deliveries_to_halted_max=rec[2],
+            blocked=rec[3], states=rec[0])
+        for ck, rec in sorted(classes.items(),
+                              key=lambda kv: (str(kv[0][0]), kv[0][1]))
+    ]
+    leaders = tuple(sorted({c.leader for c in terminal_classes
+                            if c.leader is not None}))
+    return ModelCheckReport(
+        algorithm=algorithm,
+        states=len(seen),
+        transitions=transitions,
+        terminal_classes=terminal_classes,
+        confluent=len(terminal_classes) == 1,
+        leaders=leaders,
+        direction_violations=direction_violations,
+        halted_delivery_transitions=halted_deliveries,
+        nonquiescent_declarations=nonquiescent,
+        multi_leader_states=multi_leader,
+    )

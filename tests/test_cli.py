@@ -350,6 +350,20 @@ def test_sweep_rejects_an_empty_seed_range(capsys, seeds):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("form", ["json", "csv"])
+def test_sweep_rejects_a_negative_budget_before_writing(capsys, tmp_path,
+                                                        form):
+    argv = ("sweep", "--gen", "path", "--n", "5", "--alg", "even",
+            "--budget", "-1", "--format", form)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: ValueError: --budget must not be negative, got -1\n"
+    target = tmp_path / "sweep.out"
+    code, out, _ = run_cli(capsys, *argv, "--out", str(target))
+    assert (code, out) == (2, "")
+    assert not target.exists()
+
+
 def test_sweep_hands_over_its_seeds_as_a_range(capsys, monkeypatch):
     # A range of any length costs the same to build; a list of 10^10
     # seeds does not fit in memory. harness.sweep_rows iterates it.

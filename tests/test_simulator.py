@@ -1197,9 +1197,9 @@ def test_explore_with_ids_past_one_byte_equals_reference(ids):
         == reference_explore(path(2), "stabilizing", ids).to_dict()
 
 
-def test_explore_widens_its_slots_for_counters_past_two_bytes():
-    # The election of ID 70000 puts 70000 pulses on one edge, past a
-    # 2-byte slot. reference_explore gives the same figures.
+def test_explore_holds_a_counter_past_two_bytes():
+    # The election of ID 70000 puts 70000 pulses on one edge, more than
+    # a 2-byte field holds. reference_explore gives the same figures.
     rep = explore_all_schedules(path(2), "stabilizing", (1, 70000))
     assert (rep.states, rep.transitions) == (140005, 210005)
     [cls] = rep.terminal_classes
@@ -1239,9 +1239,12 @@ _BOUNDARY_PINS = {
 
 @pytest.mark.parametrize("ids", list(_BOUNDARY_PINS))
 def test_explore_at_the_field_width_boundaries_equals_reference(ids):
-    # A 2-byte field holds values below 2**15. A leaf's election goes
-    # down the edge that may still hold its leaf pulse, so (1, 32767)
-    # puts 32768 pulses on one edge and (65535, 1) puts 65536 there.
+    # Values around 2**15 and 2**16, the limits of 2-byte fields with
+    # and without a headroom bit. A leaf's election goes down the edge
+    # that may still hold its leaf pulse, so (1, 32767) puts 32768
+    # pulses on one edge and (65535, 1) puts 65536 there. At the
+    # default cap the fields are wider; the capped tests below cross a
+    # field's limit.
     t = path(len(ids))
     assert _sha256(explore_all_schedules(t, "stabilizing", ids).to_dict()) \
         == _BOUNDARY_PINS[ids]
@@ -1262,8 +1265,8 @@ def test_explore_of_binary3_general_is_pinned():
 def test_explore_checks_counters_that_grow_across_deliveries(monkeypatch):
     # Each of the three pulses into the node with ID 3 sends 22000 more
     # back. No single send reaches 2**15, yet one edge can come to hold
-    # 66004 pulses, more than a 2-byte field holds; only the check of
-    # each popped state sees that.
+    # 66004 pulses, more than a 2-byte field holds. At the default cap
+    # the fields hold it; the capped twin below crosses their limit.
     real = protocol.stabilizing_step
 
     def flooding(state, port):
@@ -1278,6 +1281,125 @@ def test_explore_checks_counters_that_grow_across_deliveries(monkeypatch):
     pin = "8ac8d556b1bf1c3cc99df6edf4b29dae2d4dbe743b14ae08f9268f3fa67511d1"
     assert _sha256(explore_all_schedules(path(2), "stabilizing",
                                          (2, 3)).to_dict()) == pin
+
+
+def _flooding(real):
+    """The stabilizing automaton, but each pulse into the node with ID
+    3 sends 22000 more back."""
+
+    def step(state, port):
+        nxt, actions = real(state, port)
+        if state.node_id == 3:
+            nxt = nxt._replace(sent=protocol._bump(nxt.sent, 0, 22000))
+            actions = list(actions) + [Send(0, 22000, CAT_ELECTION)]
+        return nxt, actions
+    return step
+
+
+def test_a_capped_explore_checks_counters_that_grow_across_deliveries(
+        monkeypatch):
+    # A cap of 60000 states gives 17-bit fields, whose values stay below
+    # 2**16 = 65536. Each send of 22000 fits, but three of them on one
+    # edge do not. With ID 3 on vertex 0 the walk meets that edge among
+    # its first ten states, and the check of each popped state ends it;
+    # with IDs (2, 3) the cap comes first.
+    monkeypatch.setattr(protocol, "stabilizing_step",
+                        _flooding(protocol.stabilizing_step))
+    with pytest.raises(StateCapExceededError) as err:
+        explore_all_schedules(path(2), "stabilizing", (3, 2),
+                              max_states=60000)
+    assert str(err.value) == "more than 60000 states"
+
+
+@pytest.mark.parametrize("cap", [1000, 60000])
+def test_a_capped_explore_stops_at_a_send_past_its_fields(cap):
+    # A cap of 1000 states gives 11-bit fields (values below 1024), and
+    # 60000 gives 17-bit ones (below 65536): either way the election of
+    # ID 70000 is one send past the limit, and its delta ends the walk.
+    with pytest.raises(StateCapExceededError) as err:
+        explore_all_schedules(path(2), "stabilizing", (1, 70000),
+                              max_states=cap)
+    assert str(err.value) == "more than %d states" % cap
+
+
+def _halted_start(degree, pulses):
+    """A stabilizing init in which every node starts halted; a node of
+    the given degree first sends pulses on its port 0."""
+
+    def init(d, node_id):
+        sent, sends = [0] * d, []
+        if d == degree:
+            sent[0] = pulses
+            sends.append(Send(0, pulses, CAT_ELECTION))
+        return NodeState((0,) * d, tuple(sent), output=NONLEADER,
+                         halted=True, live=(), node_id=node_id), sends
+    return init
+
+
+def test_a_capped_explore_checks_its_start(monkeypatch):
+    # Each leaf of path(2) starts with 2048 pulses out, and a cap of 1000
+    # states gives 11-bit fields. 2048 does not fit in 11 bits at all,
+    # so the key of the start would read those counters as 0 and 1;
+    # only the check of the start's fields sees it.
+    monkeypatch.setattr(protocol, "init_stabilizing", _halted_start(1, 2048))
+    with pytest.raises(StateCapExceededError) as err:
+        explore_all_schedules(path(2), "stabilizing", (1, 2),
+                              max_states=1000)
+    assert str(err.value) == "more than 1000 states"
+
+
+@pytest.mark.parametrize("pulses", [16, 1000, 2 ** 16])
+def test_a_counter_with_no_states_to_spare_fits_its_field(monkeypatch,
+                                                          pulses):
+    # The middle of path(3) starts with c pulses out to a halted leaf,
+    # which absorbs them one by one: c + 1 states, the fewest a counter
+    # of c comes with. Under a cap of c + 1 its field must still hold
+    # c below the headroom bit; for each c here, c + 1 + n has the bit
+    # length of c, so a field one bit narrower would not.
+    monkeypatch.setattr(protocol, "init_stabilizing",
+                        _halted_start(2, pulses))
+    rep = explore_all_schedules(path(3), "stabilizing", (1, 2, 3),
+                                max_states=pulses + 1)
+    assert (rep.states, rep.transitions) == (pulses + 1, pulses)
+    with pytest.raises(StateCapExceededError) as err:
+        explore_all_schedules(path(3), "stabilizing", (1, 2, 3),
+                              max_states=pulses)
+    assert str(err.value) == "more than %d states" % pulses
+
+
+def _cap_parity_cases():
+    for algorithm in ("even", "general"):
+        for t in _shapes(7):
+            if algorithm == "even" and layer_decomposition(t).diameter % 2:
+                continue
+            if algorithm == "general" and is_edge_symmetric(t).symmetric:
+                continue
+            yield t, algorithm, None
+    for n in range(1, 5):
+        for edges in oracles.nonisomorphic_trees(n):
+            t = _relabelled(n, edges, n)
+            for ids in itertools.permutations(range(1, n + 1)):
+                yield t, "stabilizing", ids
+
+
+def test_a_cap_of_exactly_the_state_count_changes_no_report():
+    # The fields are sized from the cap, so a cap equal to the state
+    # count gives the narrowest fields that must still hold the walk.
+    checked = 0
+    for t, algorithm, ids in _cap_parity_cases():
+        full = explore_all_schedules(t, algorithm, ids).to_dict()
+        states = full["states"]
+        for cap in (states, 1e6, float("inf")):
+            assert explore_all_schedules(t, algorithm, ids,
+                                         max_states=cap).to_dict() == full, \
+                (t.edges(), algorithm, ids, cap)
+        if states > 1:
+            with pytest.raises(StateCapExceededError) as err:
+                explore_all_schedules(t, algorithm, ids,
+                                      max_states=states - 1)
+            assert str(err.value) == "more than %d states" % (states - 1)
+        checked += 1
+    assert checked == 15 + 21 + 57
 
 
 def test_explore_rejects_a_negative_send(monkeypatch):
@@ -1316,7 +1438,7 @@ def _without_send_totals(report):
     return d
 
 
-def test_explore_widens_its_fields_without_reading_sent(monkeypatch):
+def test_explore_sizes_its_fields_without_reading_sent(monkeypatch):
     # A broken automaton sends its election but leaves its sent counts
     # as they were, so only the actions say that 70000 pulses went out.
     # The terminal classes read the stale counts, the reference reads
@@ -1334,9 +1456,9 @@ def test_explore_widens_its_fields_without_reading_sent(monkeypatch):
     assert _sha256(_without_send_totals(rep)) == pin
 
 
-def test_widening_the_fields_keeps_the_step_table(monkeypatch):
-    # The 2-byte walk stops at the 70000-pulse election; the 8-byte
-    # walk that follows steps no (node state, port) a second time.
+def test_explore_steps_each_node_state_and_port_once(monkeypatch):
+    # Through the 70000-pulse election and the 140005 states after it,
+    # the walk steps no (node state, port) a second time.
     real = protocol.stabilizing_step
     calls = {}
 
