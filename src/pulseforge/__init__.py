@@ -33,7 +33,6 @@ from .protocol import (
     on_deliver,
     init_stabilizing,
     stabilizing_step,
-    match_trigger,
 )
 from .simulator import (
     NetworkState,

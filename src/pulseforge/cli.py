@@ -110,10 +110,8 @@ def _cmd_rules(args):
     t = resolve_tree(args.tree)
     if args.alg == "even":
         rules = compile_even_rules(layer_decomposition(t).diameter)
-    elif args.alg == "general":
-        rules = compile_general_rules(t)
     else:
-        raise ValueError("the stabilizing algorithm has no compiled rules")
+        rules = compile_general_rules(t)
     _emit("\n".join(rules.describe()), args.out)
     return 0
 
@@ -312,9 +310,10 @@ def cli(argv):
         return int(exc.code or 0)
     try:
         return args.func(args)
-    # Every input error of the package is a ValueError, bar these.
+    # Every input error of the package is a ValueError, bar these; a
+    # walk or run too large for memory is refused like one.
     except (ValueError, StateCapExceededError, GenerationError,
-            OSError) as exc:
+            OSError, MemoryError) as exc:
         print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 2
 

@@ -8,7 +8,9 @@ raises its cumulative sends through it to i. The topology-aware form
 compiles one rule per distinct rooted subtree shape; triggers are the
 children's send quotas and the quota of shape i is count - i, which
 makes termination quiescent on trees that are not symmetric about any
-edge. A third automaton implements the self-stabilizing election for
+edge. One RuleSet answers both kinds of rule a node obeys:
+upstream_quota the upstream rules, leader_fires the leader rule. A
+third automaton implements the self-stabilizing election for
 nodes holding unique positive IDs; it needs no compiled rules and never
 halts the losers.
 
@@ -51,7 +53,8 @@ class OddDiameterError(ValueError):
 
 
 class RuleConsistencyError(ValueError):
-    """A compiled rule set has a trigger entry below 1."""
+    """A rule set has a trigger entry below 1, or a trigger whose length
+    does not fit its rule."""
 
 
 class Send(NamedTuple):
@@ -86,8 +89,10 @@ class LeaderRule:
 
     Variants: "every_port_once" fires at any degree once all ports have
     received a pulse; "all_ports" needs each of the d ports to reach its
-    entry of the trigger; "remaining_one" needs d-1 ports to reach the
-    trigger while the remaining port holds exactly one pulse.
+    entry of the trigger, which has d entries; "remaining_one" needs d-1
+    ports to reach the trigger, which has d-1 entries, while the
+    remaining port holds exactly one pulse. RuleSet.leader_fires matches
+    it.
     """
 
     degree: int | None
@@ -101,11 +106,13 @@ _MISS = object()
 class RuleSet:
     """Compiled rules for one algorithm instance.
 
-    Construction builds everything matching reads: the fixed-degree
-    upstream rules grouped by degree as (target, trigger) pairs in
-    order of falling target, each degree's floor (the least first and
-    the least last trigger entry) and each degree's empty memo. An even
-    set has no fixed-degree rules, so it keeps no tables.
+    Construction checks every trigger and builds everything matching
+    reads: the fixed-degree upstream rules grouped by degree as
+    (target, trigger) pairs in order of falling target, each degree's
+    floor (the least first and the least last trigger entry), each
+    degree's empty memo and the leader's trigger. Triggers are sorted
+    descending here, once, so a rule may list its entries in any order.
+    An even set has no fixed-degree rules, so it keeps no tables.
     """
 
     def __init__(self, algorithm, upstream, leader, radius=None,
@@ -119,15 +126,25 @@ class RuleSet:
         # leader rule then needs every port to have heard a pulse, and
         # an upstream rule exactly one silent port, the remaining one.
         # An even set asks for i+1 >= 2 pulses and has no trigger tuples.
+        # A fixed-degree trigger covers the d-1 non-remaining ports, or
+        # all d for an all_ports leader.
         for rule in self.upstream + (leader,):
             if rule.trigger and min(rule.trigger) < 1:
                 raise RuleConsistencyError(
                     "trigger %r has an entry below 1" % (rule.trigger,))
+            if rule.degree is None:
+                continue
+            size = (rule.degree if rule is leader
+                    and leader.variant == "all_ports" else rule.degree - 1)
+            if rule.trigger is None or len(rule.trigger) != size:
+                raise RuleConsistencyError(
+                    "trigger %r does not fit degree %d: it needs %d entries"
+                    % (rule.trigger, rule.degree, size))
         groups = {}
         for rule in self.upstream:
             if rule.degree is not None:
                 groups.setdefault(rule.degree, []).append(
-                    (rule.target, rule.trigger))
+                    (rule.target, tuple(sorted(rule.trigger, reverse=True))))
         self._by_degree = {d: tuple(sorted(pairs, reverse=True))
                            for d, pairs in groups.items()}
         # A degree-1 trigger is empty and so is the rest it meets.
@@ -135,6 +152,32 @@ class RuleSet:
                            min(w[-1] for _, w in pairs))
                        for d, pairs in groups.items() if d > 1}
         self._quota_memo = {d: {} for d in groups}
+        self._leader_want = (tuple(sorted(leader.trigger, reverse=True))
+                             if leader.trigger is not None else None)
+
+    def leader_fires(self, received):
+        """Whether the leader rule matches the counters received.
+
+        An even rule set's leader fires once every port has heard a
+        pulse. A fixed-degree leader needs its degree; an all_ports
+        leader needs the counts, sorted descending, to dominate its
+        trigger, and a remaining_one leader needs the counts left by the
+        lowest port holding exactly one pulse to dominate it. Every port
+        holding one pulse leaves the same counts, so the lowest decides.
+        """
+        leader = self.leader
+        if leader.variant == "every_port_once":
+            return 0 not in received
+        if leader.degree != len(received):
+            return False
+        if leader.variant == "all_ports":
+            return _dominates(sorted(received, reverse=True),
+                              self._leader_want)
+        if 1 not in received:
+            return False
+        port = received.index(1)
+        return _dominates(sorted(received[:port] + received[port + 1:],
+                                 reverse=True), self._leader_want)
 
     def upstream_quota(self, d, rest):
         """Quota of the upstream rule a degree-d node obeys when its
@@ -314,63 +357,9 @@ def _bump(counts, port, by=1):
     return counts[:port] + (counts[port] + by,) + counts[port + 1:]
 
 
-def _split_remaining(received, required, forced=None):
-    """The remaining port and the other ports' counts as a tuple,
-    sorted descending.
-
-    The remaining port must hold exactly `required` pulses; forced
-    restricts it to one port. Every admissible port holds the same
-    count, so the other ports form the same multiset whichever one is
-    chosen, and the lowest admissible index decides. None when no port
-    is admissible.
-    """
-    if forced is None:
-        if required not in received:
-            return None
-        port = received.index(required)
-    elif received[forced] != required:
-        return None
-    else:
-        port = forced
-    return port, tuple(sorted(received[:port] + received[port + 1:],
-                              reverse=True))
-
-
 def _dominates(have, want):
     """Componentwise have >= want, both sorted descending."""
     return all(h >= w for h, w in zip(have, want))
-
-
-def match_trigger(received, trigger, remaining_required=0):
-    """Find the admissible remaining port for a trigger, if any.
-
-    The d-1 non-remaining ports must cover the trigger entries by
-    sorted-descending componentwise domination. The remaining port
-    itself must hold exactly remaining_required pulses. Ambiguity
-    between admissible remaining ports resolves to the lowest index.
-    """
-    d = len(received)
-    if len(trigger) != d - 1:
-        raise ValueError("trigger length %d does not fit degree %d"
-                         % (len(trigger), d))
-    found = _split_remaining(received, remaining_required)
-    if found is None:
-        return None
-    port, rest = found
-    return port if _dominates(rest, sorted(trigger, reverse=True)) else None
-
-
-def _leader_matches(received, rule):
-    if rule.variant == "every_port_once":
-        return 0 not in received
-    if rule.degree != len(received):
-        return False
-    if rule.variant == "all_ports":
-        return _dominates(sorted(received, reverse=True),
-                          sorted(rule.trigger, reverse=True))
-    # remaining_one
-    return match_trigger(received, rule.trigger,
-                         remaining_required=1) is not None
 
 
 def _evaluate(state, rules, received):
@@ -383,22 +372,22 @@ def _evaluate(state, rules, received):
     full quota up front.
 
     The number of silent ports decides which rules may be tried at all:
-    the leader rule needs none, an upstream rule exactly one.
+    the leader rule needs none, an upstream rule exactly one, which is
+    its remaining port. A committed up_port must be that port.
     """
     sent = state.sent
     silent = received.count(0)
-    if (state.leader_armed and not silent
-            and _leader_matches(received, rules.leader)):
+    if state.leader_armed and not silent and rules.leader_fires(received):
         sends = [Send(p, 1, CAT_BROADCAST) for p in range(len(sent))]
         output = _set_output(state.output, LEADER)
         return state._replace(received=received,
                               sent=tuple([c + 1 for c in sent]),
                               leader_armed=False, output=output,
                               halted=True), sends
-    found = (_split_remaining(received, 0, state.up_port)
-             if silent == 1 else None)
-    if found is not None:
-        port, rest = found
+    port = received.index(0) if silent == 1 else None
+    if port is not None and state.up_port in (None, port):
+        # The silent port holds the one 0, which sorts last.
+        rest = tuple(sorted(received, reverse=True)[:-1])
         target = rules.upstream_quota(len(received), rest)
         # Once committed, with the upstream port set and the leader
         # rule disarmed, a matching rule changes only a short quota.
@@ -408,8 +397,6 @@ def _evaluate(state, rules, received):
             if target > sent[port]:
                 sends.append(Send(port, target - sent[port], CAT_UPSTREAM))
                 sent = _bump(sent, port, target - sent[port])
-            # A committed up_port is forced on _split_remaining, so it
-            # is port.
             return _new(NodeState, (received, sent, port, True, False)
                         + state[5:]), sends
     return _new(NodeState, (received,) + state[1:]), []

@@ -175,6 +175,16 @@ def brute_force_match_trigger(received, trigger, remaining_required=0,
     return None
 
 
+def brute_force_all_ports(received, trigger):
+    """Whether some assignment of the ports to the trigger entries, one
+    port per entry, gives every entry a port holding at least as many
+    pulses; tried over every permutation of the ports. The trigger must
+    have one entry per port."""
+    assert len(trigger) == len(received)
+    return any(all(received[p] >= need for p, need in zip(perm, trigger))
+               for perm in itertools.permutations(range(len(received))))
+
+
 def brute_force_upstream(received, rules, up_port):
     """(quota, remaining port) of the upstream rule with the largest
     quota among those whose trigger matches with a silent remaining

@@ -539,3 +539,56 @@ def test_usage_errors_return_2(capsys):
     assert run_cli(capsys, "run", "--tree", "nosuch", "--alg", "even")[0] == 2
     assert run_cli(capsys, "frobnicate")[0] == 2
     assert run_cli(capsys)[0] == 2
+
+
+def test_mc_out_of_memory_exits_2_in_one_line(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli_module, "explore_all_schedules", exhausted)
+    code, out, err = run_cli(capsys, "mc", "--tree", "c5", "--alg", "general")
+    assert code == 2 and out == ""
+    assert err == "error: MemoryError: \n"
+
+
+def test_rules_refuses_the_stabilizing_algorithm(capsys):
+    code, out, err = run_cli(capsys, "rules", "--tree", "c5", "--alg",
+                             "stabilizing")
+    assert code == 2 and out == ""
+    assert "invalid choice: 'stabilizing'" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--gen", "path", "--alg", "even", "--n", "5..3"],
+     "error: ValueError: empty range '5..3'\n"),
+    (["encode", "--tree", "c5", "--root", "9"],
+     "error: ValueError: root 9 out of range\n"),
+])
+def test_bad_arguments_exit_2_in_one_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == message
+
+
+def test_a_cycle_with_n_minus_one_edges_exits_2(tmp_path, capsys):
+    # Four edges on five vertices, but 0-1-2 is a cycle and 3-4 apart.
+    f = tmp_path / "cycle.edges"
+    f.write_text("0 1 1 2 2 0 3 4\n")
+    code, out, err = run_cli(capsys, "layers", "--tree", str(f))
+    assert code == 2 and out == ""
+    assert err == ("error: DisconnectedError: vertices unreachable from 0: "
+                   "[3, 4]\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["layers", "--tree", "c5"],
+    ["encode", "--tree", "c5"],
+    ["rules", "--tree", "c5", "--alg", "general"],
+])
+def test_out_writes_what_stdout_would_show(tmp_path, capsys, argv):
+    code, printed, _ = run_cli(capsys, *argv)
+    assert code == 0
+    target = tmp_path / "out.txt"
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 0 and out == "" and err == ""
+    assert target.read_text(encoding="utf-8") == printed

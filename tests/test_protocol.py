@@ -16,6 +16,8 @@ from pulseforge.protocol import (
     UNDECIDED,
     NodeState,
     OddDiameterError,
+    RuleConsistencyError,
+    RuleSet,
     Send,
     SymmetricTreeError,
     UpstreamRule,
@@ -24,7 +26,6 @@ from pulseforge.protocol import (
     compile_general_rules,
     init_node,
     init_stabilizing,
-    match_trigger,
     on_deliver,
     stabilizing_step,
 )
@@ -153,31 +154,6 @@ def test_check_dominance_rejects_inconsistent_rules():
     assert oracles.dominance_violations(rules) == [(rules[1], rules[0])]
 
 
-def test_match_trigger_examples():
-    assert match_trigger([2, 2, 0], (2, 2), 0) == 2
-    assert match_trigger([3, 0, 0], (2, 2), 0) is None
-    assert match_trigger([2, 2, 1], (2, 2), 1) == 2
-
-
-def test_match_trigger_picks_lowest_port_on_ties():
-    # either port could play the remaining role; lowest index wins
-    assert match_trigger([0, 0], (0,), 0) == 0
-    assert match_trigger([2, 2], (2,), 2) == 0
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_match_trigger_matches_brute_force(data):
-    d = data.draw(st.integers(1, 7))
-    counts = st.integers(0, 4)
-    received = data.draw(st.lists(counts, min_size=d, max_size=d))
-    trigger = tuple(data.draw(st.lists(counts, min_size=d - 1,
-                                       max_size=d - 1)))
-    required = data.draw(st.integers(0, 2))
-    assert match_trigger(received, trigger, required) == \
-        oracles.brute_force_match_trigger(received, trigger, required)
-
-
 UPSTREAM_RULE_SETS = (
     [compile_even_rules(2 * r) for r in (1, 2, 4)]
     + [compile_general_rules(random_asymmetric_tree(n, seed))
@@ -282,6 +258,111 @@ def test_even_closed_form_quota_equals_brute_force(r):
             best = oracles.brute_force_upstream((0,) + rest, pairs, 0)
             assert rules.upstream_quota(d, rest) == (best and best[0])
     assert rules._quota_memo == {}
+
+
+# Leader rules of both general variants (even diameter gives all_ports,
+# odd remaining_one) at degrees 1 to 4, and even sets' every_port_once.
+EVEN_LEADER_SETS = [compile_even_rules(2 * r) for r in (0, 1, 3)]
+LEADER_RULE_SETS = EVEN_LEADER_SETS + [
+    compile_general_rules(TreeTopology(n, edges)) for n in range(3, 9)
+    for edges in oracles.nonisomorphic_trees(n)
+    if not is_edge_symmetric(TreeTopology(n, edges)).symmetric]
+
+
+def test_leader_rule_sets_cover_both_general_variants():
+    variants = {(r.leader.variant, r.leader.degree) for r in LEADER_RULE_SETS}
+    for variant in ("all_ports", "remaining_one"):
+        assert {d for v, d in variants if v == variant} >= {2, 3, 4}
+    assert ("every_port_once", None) in variants
+
+
+def _brute_force_leader(rules, received):
+    leader = rules.leader
+    if leader.variant == "every_port_once":
+        return all(c >= 1 for c in received)
+    if leader.degree != len(received):
+        return False
+    if leader.variant == "all_ports":
+        return oracles.brute_force_all_ports(received, leader.trigger)
+    return oracles.brute_force_match_trigger(received, leader.trigger,
+                                             1) is not None
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_leader_fires_matches_brute_force(data):
+    # Even sets are few, so they are drawn as often as general ones.
+    rules = data.draw(st.one_of(st.sampled_from(EVEN_LEADER_SETS),
+                                st.sampled_from(LEADER_RULE_SETS)))
+    trigger = rules.leader.trigger or ()
+    if rules.leader.degree is None:
+        d = data.draw(st.integers(0, 5))
+    else:
+        # The leader's degree mostly, and its neighbours, which never fire.
+        d = data.draw(st.sampled_from([rules.leader.degree] * 4 + [
+            rules.leader.degree - 1, rules.leader.degree + 1]))
+    # The trigger's entries, padded with 1s (a remaining_one leader's
+    # remaining port), shuffled and each moved by at most one, so that
+    # counts sit near the entries, 0 and 1 among them, and many fire.
+    base = data.draw(st.permutations((list(trigger) + [1] * d)[:d]))
+    received = tuple(max(0, c + data.draw(st.sampled_from((-1, 0, 0, 1))))
+                     for c in base)
+    fires = _brute_force_leader(rules, received)
+    assert rules.leader_fires(received) == fires
+    # Every trigger entry is at least 1, so the silent-port gate in
+    # front of leader_fires refuses only counts that would not fire.
+    state, actions = _evaluate(NodeState(received, (0,) * d), rules,
+                               received)
+    assert (state.output == LEADER) == fires
+    if fires:
+        assert actions == [Send(p, 1, CAT_BROADCAST) for p in range(d)]
+
+
+_LEAF_RULE = UpstreamRule(degree=1, trigger=(), threshold=None, target=1,
+                          source_index=1)
+
+
+def test_an_unsorted_upstream_trigger_matches_as_brute_force():
+    rule = UpstreamRule(degree=3, trigger=(1, 2), threshold=None, target=1,
+                        source_index=2)
+    rules = RuleSet("general", [_LEAF_RULE, rule],
+                    LeaderRule(degree=2, trigger=(1, 1), variant="all_ports"),
+                    shape_count=3)
+    received = (2, 1, 0)
+    assert oracles.brute_force_upstream(received, [(1, (1, 2))], None) == \
+        (1, 2)
+    assert rules.upstream_quota(3, (2, 1)) == 1
+    state, actions = _evaluate(NodeState(received, (0,) * 3,
+                                         leader_armed=False),
+                               rules, received)
+    assert actions == [Send(2, 1, CAT_UPSTREAM)]
+    assert state.up_port == 2
+    # The rule keeps the trigger as it was given.
+    assert rules.upstream[1].trigger == (1, 2)
+
+
+@pytest.mark.parametrize("upstream, leader", [
+    # An all_ports leader needs one entry per port; else the zip in
+    # _dominates would let (5, 1) meet the first two entries only.
+    ([_LEAF_RULE], LeaderRule(degree=2, trigger=(5, 1, 1),
+                              variant="all_ports")),
+    ([_LEAF_RULE], LeaderRule(degree=2, trigger=(1,), variant="all_ports")),
+    # A remaining_one leader needs one entry per non-remaining port.
+    ([_LEAF_RULE], LeaderRule(degree=3, trigger=(2, 2, 1),
+                              variant="remaining_one")),
+    ([_LEAF_RULE], LeaderRule(degree=3, trigger=(2,),
+                              variant="remaining_one")),
+    # So does an upstream rule.
+    ([_LEAF_RULE, UpstreamRule(degree=3, trigger=(1,), threshold=None,
+                               target=1, source_index=2)],
+     LeaderRule(degree=2, trigger=(1, 1), variant="all_ports")),
+    ([UpstreamRule(degree=1, trigger=(1,), threshold=None, target=1,
+                   source_index=1)],
+     LeaderRule(degree=2, trigger=(1, 1), variant="all_ports")),
+])
+def test_a_trigger_that_does_not_fit_its_rule_is_rejected(upstream, leader):
+    with pytest.raises(RuleConsistencyError, match="does not fit degree"):
+        RuleSet("general", upstream, leader, shape_count=2)
 
 
 def test_init_leaf_sends_radius_even():
@@ -471,3 +552,11 @@ def test_node_state_is_an_immutable_value():
 def test_describe_is_stable():
     rules = compile_general_rules(c5())
     assert rules.describe() == compile_general_rules(c5()).describe()
+
+
+def test_describe_lists_an_all_ports_leader():
+    assert compile_general_rules(path(3)).describe() == [
+        "algorithm=general shapes=2",
+        "upstream source=1 degree=1 trigger=[] quota=1",
+        "leader: degree=2 all ports >= [1, 1]",
+    ]

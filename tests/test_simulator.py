@@ -40,6 +40,8 @@ from pulseforge.simulator import (
 )
 from pulseforge.topology import (
     TreeTopology,
+    decode_parens,
+    encode_parens,
     is_edge_symmetric,
     layer_decomposition,
 )
@@ -164,6 +166,14 @@ def test_tiny_budget_reports_exhaustion():
     outcome = run(new_simulation(path(5), "even"), SeededRandom(3), 2)
     assert outcome.status == "budget_exhausted"
     assert outcome.deliveries == 2
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_run_refuses_a_budget_below_one(budget):
+    s = new_simulation(path(5), "even")
+    with pytest.raises(ValueError, match="^budget must be at least 1$"):
+        run(s, SeededRandom(3), budget)
+    assert s.deliveries == 0
 
 
 def test_delivery_to_halted_is_absorbed_and_flagged():
@@ -1070,9 +1080,20 @@ def test_explore_equals_reference_on_every_small_shape(algorithm):
 
 
 # Even shapes whose report fails its judge: two terminal classes, one
-# a pulse short of the exact total. Keys are (n, index in
-# oracles.nonisomorphic_trees(n)).
-_EVEN_JUDGE_FAILURES = {(9, 21), (10, 36), (10, 58), (10, 67), (10, 68)}
+# a pulse short of the exact total. Keys are canonical parenthesis
+# strings, rooted at the center, so they do not depend on the order in
+# which networkx lists the shapes.
+_EVEN_JUDGE_FAILURES = {
+    "(((()))((()))(()))",
+    "(((()()))((()))(()))",
+    "(((())())((()))(()))",
+    "(((()))((()))(()()))",
+    "(((()))((()))(())())",
+}
+
+
+def _canonical_parens(t):
+    return encode_parens(t, layer_decomposition(t).root)
 
 
 def _verdict_cases():
@@ -1082,7 +1103,7 @@ def _verdict_cases():
             t = _relabelled(n, edges, 1000 * n + k)
             if layer_decomposition(t).diameter % 2 == 0:
                 marks = ()
-                if (n, k) in _EVEN_JUDGE_FAILURES:
+                if _canonical_parens(t) in _EVEN_JUDGE_FAILURES:
                     marks = pytest.mark.xfail(strict=True, reason=(
                         "ROADMAP item 1: a top-up pre-empted by the "
                         "leader's broadcast breaks confluence and the "
@@ -1100,6 +1121,42 @@ def test_every_small_shape_passes_the_model_check_judge(t, algorithm):
     # 109 even shapes (n <= 10) and 87 general shapes (n <= 9).
     verdict = verify_model_check(explore_all_schedules(t, algorithm), t)
     assert verdict["ok"], [c for c in verdict["checks"] if not c["ok"]]
+
+
+# One sha256 over the mc reports and verdicts of the shape corpus:
+# every even-diameter shape (54) and every shape not symmetric about an
+# edge (87) with n <= 9, under even and general, and every shape with
+# n <= 5 under every permutation of the IDs 1..n (417), under
+# stabilizing. Each tree is rebuilt from its canonical parenthesis
+# string, so labels and ports are canonical too.
+_CORPUS_DIGEST = \
+    "36896b7e0cccbf41b6279d0332b4858a3ab135c6f1debbd450f34ba492c29fe3"
+
+
+def test_the_shape_corpus_reports_hash_as_pinned():
+    entries = []
+    for n in range(1, 10):
+        for edges in oracles.nonisomorphic_trees(n):
+            parens = _canonical_parens(TreeTopology(n, edges))
+            t = decode_parens(parens)
+            cases = []
+            if layer_decomposition(t).diameter % 2 == 0:
+                cases.append(("even", None))
+            if not is_edge_symmetric(t).symmetric:
+                cases.append(("general", None))
+            if n <= 5:
+                cases += [("stabilizing", ids) for ids in
+                          itertools.permutations(range(1, n + 1))]
+            for algorithm, ids in cases:
+                report = explore_all_schedules(t, algorithm, ids)
+                entries.append(json.dumps(
+                    [algorithm, parens, ids, report.to_dict(),
+                     verify_model_check(report, t, ids)], sort_keys=True))
+    counts = {a: sum(e.startswith('["%s"' % a) for e in entries)
+              for a in ("even", "general", "stabilizing")}
+    assert counts == {"even": 54, "general": 87, "stabilizing": 417}
+    digest = hashlib.sha256("\n".join(sorted(entries)).encode())
+    assert digest.hexdigest() == _CORPUS_DIGEST
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -1127,17 +1184,21 @@ def _ungated_evaluate(state, rules, received):
     """protocol._evaluate without the silent-port gate: the leader rule
     and then the upstream rules are tried on every call."""
     sent = state.sent
-    if state.leader_armed and protocol._leader_matches(received,
-                                                       rules.leader):
+    if state.leader_armed and rules.leader_fires(received):
         actions = [Send(p, 1, CAT_BROADCAST) for p in range(len(sent))]
         output = protocol._set_output(state.output, LEADER)
         return state._replace(received=received,
                               sent=tuple([c + 1 for c in sent]),
                               leader_armed=False, output=output,
                               halted=True), actions
-    found = protocol._split_remaining(received, 0, state.up_port)
-    if found is not None:
-        port, rest = found
+    # The remaining port: the lowest silent one, or only a committed
+    # up_port, and then only while it is silent.
+    silent = [p for p, c in enumerate(received)
+              if c == 0 and state.up_port in (None, p)]
+    if silent:
+        port = silent[0]
+        rest = tuple(sorted(received[:port] + received[port + 1:],
+                            reverse=True))
         target = rules.upstream_quota(len(received), rest)
         if target is not None and (target > sent[port]
                                    or not state.downstream_active):
