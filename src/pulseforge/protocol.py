@@ -23,6 +23,7 @@ has halted are fields of the successor, not messages.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -113,6 +114,12 @@ class RuleSet:
     degree's empty memo and the leader's trigger. Triggers are sorted
     descending here, once, so a rule may list its entries in any order.
     An even set has no fixed-degree rules, so it keeps no tables.
+
+    crossing maps a degree to its crossing values, the counts at which
+    a match can change: for a general set, every entry of the degree's
+    upstream triggers, plus the leader trigger's entries at the
+    leader's degree, plus 2 for a remaining_one leader; for an even
+    set, 2..r+1 at every degree. on_deliver reads it.
     """
 
     def __init__(self, algorithm, upstream, leader, radius=None,
@@ -154,6 +161,20 @@ class RuleSet:
         self._quota_memo = {d: {} for d in groups}
         self._leader_want = (tuple(sorted(leader.trigger, reverse=True))
                              if leader.trigger is not None else None)
+        # The counts at which a degree's match can change; see
+        # on_deliver. A degree with no rule and no leader has none.
+        if algorithm == "even":
+            values = frozenset(range(2, radius + 2))
+            self.crossing = defaultdict(lambda: values)
+        else:
+            self.crossing = defaultdict(frozenset, {
+                d: frozenset(x for _, w in pairs for x in w)
+                for d, pairs in self._by_degree.items()})
+            if leader.degree is not None:
+                values = set(leader.trigger)
+                if leader.variant == "remaining_one":
+                    values.add(2)
+                self.crossing[leader.degree] |= values
 
     def leader_fires(self, received):
         """Whether the leader rule matches the counters received.
@@ -420,8 +441,22 @@ def on_deliver(state, rules, port):
     the top-down signal: the node relays one pulse on every other port,
     declares itself a non-leader, and halts. Deliveries to halted nodes
     are the simulator's business and never reach this function.
+
+    Any other pulse on a port that already held c >= 1 pulses, where
+    c + 1 is not among rules.crossing for the node's degree, only bumps
+    that counter: no rule is tried. This is exact for a settled state,
+    one that init_node or on_deliver returned under the same rules and
+    that has not halted. A sorted-descending count vector dominates a
+    trigger w exactly when, for every value t of w, at least as many
+    counts as entries of w reach t; raising one count from c to c + 1
+    changes those tallies only at t = c + 1, and as c >= 1 the silent
+    ports and the ports holding exactly one pulse stay the same unless
+    c + 1 = 2. A settled state is a fixed point of _evaluate on its own
+    counters, so a match unchanged by the bump changes nothing either.
     """
-    received = _bump(state.received, port)
+    received = state.received
+    count = received[port]
+    received = received[:port] + (count + 1,) + received[port + 1:]
     up_port = state.up_port
     if state.downstream_active and port == up_port:
         sent = list(state.sent)
@@ -434,6 +469,8 @@ def on_deliver(state, rules, port):
         return _new(NodeState, (received, tuple(sent), up_port, True,
                                 state.leader_armed, output, True)
                     + state[7:]), sends
+    if count and count + 1 not in rules.crossing[len(received)]:
+        return _new(NodeState, (received,) + state[1:]), []
     return _evaluate(state, rules, received)
 
 

@@ -481,23 +481,34 @@ def _trace_actions(old, new, sends):
     return actions
 
 
-def new_simulation(t, algorithm, ids=None, *, record_trace=False):
+def new_simulation(t, algorithm, ids=None, *, rules=None,
+                   record_trace=False):
     """Initialized NetworkState for one algorithm on one tree.
 
     The even algorithm needs an even diameter, the general one an
     asymmetric tree, the stabilizing one distinct positive IDs; the
     rule-driven ones are anonymous and refuse IDs. All initialization
     pulses are already in flight on return.
+
+    rules, a RuleSet of the algorithm's kind, replaces the rules
+    compiled from t, and with them the diameter and symmetry checks:
+    nodes then act on what rules says, e.g. rules compiled for another
+    tree.
     """
     if algorithm in ("even", "general") and ids is not None:
         raise ValueError("the %s algorithm takes no IDs" % algorithm)
+    if rules is not None and rules.algorithm != algorithm:
+        raise ValueError("the %s algorithm takes no %s rules"
+                         % (algorithm, rules.algorithm))
     if algorithm == "even":
         layering = layer_decomposition(t)
-        rules = compile_even_rules(layering.diameter)
+        if rules is None:
+            rules = compile_even_rules(layering.diameter)
         return NetworkState(t, algorithm, rules, None, layering,
                             record_trace)
     if algorithm == "general":
-        rules = compile_general_rules(t)
+        if rules is None:
+            rules = compile_general_rules(t)
         layering = layer_decomposition(t)
         return NetworkState(t, algorithm, rules, None, layering,
                             record_trace)
@@ -726,7 +737,8 @@ class ModelCheckReport:
         }
 
 
-def explore_all_schedules(t, algorithm, ids=None, *, max_states=10 ** 6):
+def explore_all_schedules(t, algorithm, ids=None, *, rules=None,
+                          max_states=10 ** 6):
     """Exhaustively walk every delivery interleaving of one instance.
 
     Depth-first with an explicit stack and a visited set; the branch
@@ -764,12 +776,12 @@ def explore_all_schedules(t, algorithm, ids=None, *, max_states=10 ** 6):
     bookkeeping feeds the direction and quiescence checks. Raises
     StateCapExceededError beyond max_states, or beyond 2**63 states,
     and ValueError when max_states is below 1 or a node sends a
-    negative number of pulses.
+    negative number of pulses. rules is passed on to new_simulation.
     """
     if max_states < 1:
         raise ValueError("max_states must be at least 1, got %d"
                          % max_states)
-    root = new_simulation(t, algorithm, ids)
+    root = new_simulation(t, algorithm, ids, rules=rules)
     offset = root.offset
     n = t.n
     m = len(root.dir_edges)

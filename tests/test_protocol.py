@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from pulseforge import protocol
 from pulseforge.harness import random_asymmetric_tree
 from pulseforge.protocol import (
     CAT_BROADCAST,
@@ -21,6 +22,7 @@ from pulseforge.protocol import (
     Send,
     SymmetricTreeError,
     UpstreamRule,
+    _bump,
     _evaluate,
     compile_even_rules,
     compile_general_rules,
@@ -28,6 +30,12 @@ from pulseforge.protocol import (
     init_stabilizing,
     on_deliver,
     stabilizing_step,
+)
+from pulseforge.simulator import (
+    SeededRandom,
+    explore_all_schedules,
+    new_simulation,
+    run,
 )
 from pulseforge.topology import (
     TreeTopology,
@@ -560,3 +568,115 @@ def test_describe_lists_an_all_ports_leader():
         "upstream source=1 degree=1 trigger=[] quota=1",
         "leader: degree=2 all ports >= [1, 1]",
     ]
+
+
+def _no_skip(state, rules, port):
+    """on_deliver without the crossing-value skip: the top-down signal,
+    else every rule tried on the bumped counters."""
+    if state.downstream_active and port == state.up_port:
+        return on_deliver(state, rules, port)
+    return _evaluate(state, rules, _bump(state.received, port))
+
+
+def _check_every_delivery(monkeypatch):
+    """Check each reply of protocol.on_deliver against _no_skip. The
+    returned tally counts the calls and the skips, the calls that are
+    not the top-down signal and reach no rule."""
+    tally = {"calls": 0, "skips": 0, "evaluated": 0}
+
+    def evaluate(state, rules, received):
+        tally["evaluated"] += 1
+        return _evaluate(state, rules, received)
+
+    def deliver(state, rules, port):
+        before = tally["evaluated"]
+        got = on_deliver(state, rules, port)
+        assert got == _no_skip(state, rules, port), (state, port)
+        tally["calls"] += 1
+        if tally["evaluated"] == before and not (
+                state.downstream_active and port == state.up_port):
+            tally["skips"] += 1
+        return got
+    monkeypatch.setattr(protocol, "_evaluate", evaluate)
+    monkeypatch.setattr(protocol, "on_deliver", deliver)
+    return tally
+
+
+def test_skipped_deliveries_equal_the_full_match_on_small_shapes(
+        monkeypatch):
+    tally = _check_every_delivery(monkeypatch)
+    shapes = 0
+    for n in range(1, 11):
+        for edges in oracles.nonisomorphic_trees(n):
+            t = TreeTopology(n, edges)
+            if layer_decomposition(t).diameter % 2 == 0:
+                explore_all_schedules(t, "even")
+                shapes += 1
+            if n <= 9 and not is_edge_symmetric(t).symmetric:
+                explore_all_schedules(t, "general")
+                shapes += 1
+    assert shapes == 196
+    assert tally["skips"] > 0 and tally["calls"] > tally["skips"]
+
+
+def test_skipped_deliveries_equal_the_full_match_in_runs(monkeypatch):
+    tally = _check_every_delivery(monkeypatch)
+    for seed in range(4):
+        state = new_simulation(random_asymmetric_tree(60, seed), "general")
+        assert run(state, SeededRandom(seed), 10 ** 6).status == "terminated"
+    assert tally["skips"] > 0 and tally["calls"] > tally["skips"]
+
+
+def _triggers(size):
+    return st.lists(st.integers(1, 5), min_size=size, max_size=size)
+
+
+@st.composite
+def _rule_sets(draw):
+    """An even set with r = 0..8, or a general set with random upstream
+    triggers at degrees 1..5 and an all_ports or remaining_one leader."""
+    if draw(st.booleans()):
+        return compile_even_rules(2 * draw(st.integers(0, 8)))
+    upstream = []
+    for d in draw(st.lists(st.integers(1, 5), max_size=6)):
+        upstream.append(UpstreamRule(
+            degree=d, trigger=tuple(draw(_triggers(d - 1))), threshold=None,
+            target=draw(st.integers(1, 6)), source_index=len(upstream) + 1))
+    variant = draw(st.sampled_from(["all_ports", "remaining_one"]))
+    d = draw(st.integers(1, 5))
+    size = d if variant == "all_ports" else d - 1
+    leader = LeaderRule(degree=d, trigger=tuple(draw(_triggers(size))),
+                        variant=variant)
+    return RuleSet("general", upstream, leader,
+                   shape_count=len(upstream) + 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_on_deliver_equals_the_full_match_on_random_rule_sets(data):
+    rules = data.draw(_rule_sets())
+    d = data.draw(st.integers(1, 5))
+    state, _ = init_node(d, rules)
+    for port in data.draw(st.lists(st.integers(0, d - 1), max_size=40)):
+        # Deliveries to a halted node never reach on_deliver.
+        if state.halted:
+            break
+        got = on_deliver(state, rules, port)
+        assert got == _no_skip(state, rules, port)
+        state = got[0]
+
+
+@pytest.mark.parametrize("rules, want", [
+    (compile_even_rules(0), {3: set()}),
+    (compile_even_rules(6), {1: {2, 3, 4}, 7: {2, 3, 4}}),
+    # path(3): one leaf rule and an all_ports leader of degree 2.
+    (compile_general_rules(path(3)), {1: set(), 2: {1}, 3: set()}),
+    # A remaining_one leader adds 2, where its remaining port's one
+    # pulse may turn into two.
+    (RuleSet("general", [_LEAF_RULE],
+             LeaderRule(degree=2, trigger=(3,), variant="remaining_one"),
+             shape_count=2), {1: set(), 2: {2, 3}}),
+    (compile_general_rules(c5()), {1: set(), 2: {2}, 3: {2}}),
+])
+def test_crossing_values_per_degree(rules, want):
+    assert {d: set(rules.crossing[d]) for d in want} == want

@@ -17,9 +17,11 @@ from pulseforge.protocol import (
     NONLEADER,
     LeaderRule,
     NodeState,
+    UNDECIDED,
     RuleSet,
     Send,
     UpstreamRule,
+    compile_general_rules,
     init_stabilizing,
 )
 from pulseforge.simulator import (
@@ -806,10 +808,48 @@ def test_rule_memo_is_shared_and_changes_nothing(monkeypatch):
     assert len({id(r) for r in seen}) == 1
     assert any(seen[0]._quota_memo.values())
     # An exploration handed that warm RuleSet reports the same.
-    monkeypatch.setattr(simulator, "compile_general_rules",
-                        lambda tree: seen[0])
-    assert explore_all_schedules(small, "general").to_dict() == cold_report
-    assert reference_explore(small, "general").to_dict() == cold_report
+    for explore in (explore_all_schedules, reference_explore):
+        assert explore(small, "general",
+                       rules=seen[0]).to_dict() == cold_report
+
+
+def test_rules_of_one_path_run_on_the_other():
+    # Nodes that know only the family {P3, P5} cannot elect: each
+    # path's general rules, run on the other path, fail under some
+    # schedule. Both explorers take the foreign rules as given.
+    p3, p5 = path(3), path(5)
+    reports = []
+    for t, rules in ((p5, compile_general_rules(p3)),
+                     (p3, compile_general_rules(p5))):
+        rep = explore_all_schedules(t, "general", rules=rules)
+        assert rep.to_dict() == \
+            reference_explore(t, "general", rules=rules).to_dict()
+        reports.append(rep)
+    on_p5, on_p3 = reports
+    [cls] = on_p5.terminal_classes
+    assert cls.leader is None and cls.total_pulses == 2
+    assert set(cls.outputs) == {UNDECIDED}
+    assert len(on_p3.terminal_classes) == 2
+    assert [c.leader for c in on_p3.terminal_classes].count(None) == 1
+    assert on_p3.halted_delivery_transitions == 24
+    assert on_p3.nonquiescent_declarations == 2
+
+
+def test_rules_must_be_of_the_algorithms_kind():
+    with pytest.raises(ValueError, match="takes no general rules"):
+        new_simulation(path(3), "even", rules=compile_general_rules(path(3)))
+    with pytest.raises(ValueError, match="takes no even rules"):
+        explore_all_schedules(path(3), "stabilizing", (1, 2, 3),
+                              rules=protocol.compile_even_rules(2))
+
+
+def test_general_memo_fills_only_at_crossing_values():
+    # on_deliver tries no rule unless a count reaches a crossing value,
+    # so one run leaves about 12.7k memo entries instead of 30,856.
+    t = random_asymmetric_tree(800, 1)
+    s = new_simulation(t, "general")
+    assert run(s, SeededRandom(1), 10 ** 7).status == "terminated"
+    assert sum(map(len, s.rules._quota_memo.values())) == 12691
 
 
 def _even_trees():
@@ -965,7 +1005,8 @@ def test_run_step_and_explore_leave_caller_state_unchanged(t, algorithm,
     _assert_unchanged(s, snap)
 
 
-def reference_explore(t, algorithm, ids=None, *, max_states=10 ** 6):
+def reference_explore(t, algorithm, ids=None, *, rules=None,
+                      max_states=10 ** 6):
     """The straightforward explorer: every transition clones the whole
     NetworkState, delivers through _deliver and keys the child with
     NetworkState.key(). What a delivery did is read off the child: an
@@ -974,7 +1015,7 @@ def reference_explore(t, algorithm, ids=None, *, max_states=10 ** 6):
     class's per-edge sends are the simulator's delivered plus in-flight
     counts, not the automata's own sent counters that the explorer reads.
     explore_all_schedules must report exactly what this reports."""
-    root = new_simulation(t, algorithm, ids)
+    root = new_simulation(t, algorithm, ids, rules=rules)
     layering = root.layering
     seen = {root.key()}
     stack = [root]
