@@ -53,7 +53,6 @@ from .simulator import (
 )
 from .harness import (
     GeneratorSpec,
-    ExperimentReport,
     GenerationError,
     generate,
     random_tree,
@@ -67,7 +66,9 @@ from .harness import (
     pulse_bound,
     verify_outcome,
     verify_model_check,
-    sweep,
+    sweep_rows,
+    write_csv,
+    write_json,
     resolve_tree,
 )
 from .cli import cli

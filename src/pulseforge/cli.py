@@ -8,6 +8,7 @@ or input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -73,14 +74,20 @@ def _seed(args):
                          % raw) from None
 
 
-def _emit(text, out_path):
+@contextlib.contextmanager
+def _output(out_path):
+    """The --out file, opened for writing with newline="", or stdout."""
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
     else:
-        print(text)
+        yield sys.stdout
+
+
+def _emit(text, out_path):
+    """Write text, which ends without a newline, and a newline."""
+    with _output(out_path) as fh:
+        fh.write(text + "\n")
 
 
 def _report_failures(checks):
@@ -186,25 +193,11 @@ def _cmd_sweep(args):
         refuse_oversized_spec(GeneratorSpec(kind, n=ns[-1]))
         specs = [GeneratorSpec(kind, n=n) for n in ns]
     first = _seed(args)
-    seeds = range(first, first + args.seeds)
-    failures = []
-
-    def rows():
-        for row, failed in sweep_rows(specs, args.alg, seeds,
-                                      budget=args.budget):
-            failures.extend(failed)
-            yield row
-
-    def write(fh):
-        if args.format == "json":
-            write_json(fh, rows(), failures)
-        else:
-            write_csv(fh, rows())
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            write(fh)
-    else:
-        write(sys.stdout)
+    results = sweep_rows(specs, args.alg, range(first, first + args.seeds),
+                         budget=args.budget)
+    write = write_json if args.format == "json" else write_csv
+    with _output(args.out) as fh:
+        failures = write(fh, results)
     return _report_failures(failures)
 
 

@@ -304,30 +304,16 @@ SWEEP_COLUMNS = ("generator", "n", "D", "algorithm", "seed", "status",
                  "leader_ok", "pulses", "bound", "bound_ok", "wall_time")
 
 
-@dataclass
-class ExperimentReport:
-    rows: list
-    failures: list  # failed checks of every row, named after the row
-
-    @property
-    def passed(self):
-        return not self.failures
-
-    def to_json(self):
-        return json.dumps({"schema": SWEEP_SCHEMA, "passed": self.passed,
-                           "rows": self.rows}, sort_keys=True, indent=2)
-
-    def write_csv(self, fh):
-        write_csv(fh, self.rows)
-
-
-def write_csv(fh, rows):
-    """The schema line, the header and then each row, written as the
-    iterable yields it."""
+def write_csv(fh, results):
+    """Write the schema line, the header and then each row of results,
+    the (row, failures) pairs of sweep_rows, as it is yielded; return
+    the failed checks of every row."""
     fh.write("# %s\n" % SWEEP_SCHEMA)
     writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
     writer.writeheader()
-    for row in rows:
+    failures = []
+    for row, failed in results:
+        failures += failed
         cells = {}
         for k, v in row.items():
             if isinstance(v, bool):
@@ -337,17 +323,21 @@ def write_csv(fh, rows):
             else:
                 cells[k] = v
         writer.writerow(cells)
+    return failures
 
 
-def write_json(fh, rows, failures):
-    """Write the document ExperimentReport.to_json() gives, and a
-    newline, for rows, an iterable that fills the list failures as it
-    yields. "passed" precedes "rows" there, so each row is spooled to a
-    temporary file as it is yielded, and memory does not grow with the
-    row count."""
+def write_json(fh, results):
+    """Write json.dumps({"passed": ..., "rows": ..., "schema":
+    SWEEP_SCHEMA}, sort_keys=True, indent=2) and a newline for results,
+    the (row, failures) pairs of sweep_rows, and return the failed
+    checks of every row. "passed" precedes "rows", so each row is
+    spooled to a temporary file as it is yielded, and memory does not
+    grow with the row count."""
+    failures = []
     with tempfile.TemporaryFile("w+", encoding="utf-8") as spool:
         sep = "\n"
-        for row in rows:
+        for row, failed in results:
+            failures += failed
             text = json.dumps(row, sort_keys=True, indent=2)
             spool.write(sep + "    " + text.replace("\n", "\n    "))
             sep = ",\n"
@@ -356,6 +346,7 @@ def write_json(fh, rows, failures):
         shutil.copyfileobj(spool, fh)
         fh.write('%s],\n  "schema": %s\n}\n'
                  % ("" if sep == "\n" else "\n  ", json.dumps(SWEEP_SCHEMA)))
+    return failures
 
 
 def _sweep_one(spec, algorithm, seed, budget):
@@ -411,14 +402,6 @@ def sweep_rows(specs, algorithm, seeds, *, budget=0):
     for _, spec, seed in heapq.merge(*map(pairs, specs),
                                      key=itemgetter(0)):
         yield _sweep_one(spec, algorithm, seed, budget)
-
-
-def sweep(specs, algorithm, seeds, *, budget=0):
-    """Run algorithm on every spec x seed pair; rows sorted, aggregate
-    pass iff every run passes verify_outcome."""
-    results = list(sweep_rows(specs, algorithm, seeds, budget=budget))
-    return ExperimentReport(rows=[row for row, _ in results],
-                            failures=[c for _, fs in results for c in fs])
 
 
 _BUILTIN_RE = re.compile(r"^(path|star|binary)(\d+)$")

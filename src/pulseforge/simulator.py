@@ -166,9 +166,9 @@ class NetworkState:
     total_pulses() is deliveries plus in_flight_total.
     Besides the counters, a state keeps what the run loop asks about on
     every delivery, updated as pulses move: `enabled`, the ascending
-    indices of the nonempty directed edges; `in_flight_total`;
-    `halted_count`; and `leaders`, the ascending vertices that declared
-    LEADER. check_conservation() compares them with a full scan.
+    indices of the nonempty directed edges; `in_flight_total`; and
+    `leaders`, the ascending vertices that declared LEADER.
+    check_conservation() compares them with a full scan.
     Node states are immutable values, shared between clones, and so is
     `moves`, the StepTable every delivery steps through. Its room is the
     directed-edge count for even runs and 0 for the others, whose steps
@@ -182,8 +182,7 @@ class NetworkState:
                  "sent_by_category", "deliveries", "deliveries_to_halted",
                  "leader_step", "in_flight_at_leader", "violation",
                  "trace", "offset", "_dir_edges", "arrive", "enabled",
-                 "in_flight_total", "halted_count", "leaders", "moves",
-                 "node_indices")
+                 "in_flight_total", "leaders", "moves", "node_indices")
 
     def __init__(self, topology, algorithm, rules, ids, layering,
                  record_trace=False):
@@ -238,8 +237,7 @@ class NetworkState:
                 ei = offset[v] + port
                 in_flight[ei] += count
                 by_category[category] += count
-        (self.enabled, self.in_flight_total, self.halted_count,
-         self.leaders) = self._scan()
+        self.enabled, self.in_flight_total, self.leaders = self._scan()
 
     def clone(self):
         c = NetworkState.__new__(NetworkState)
@@ -263,7 +261,6 @@ class NetworkState:
         c.trace = None if self.trace is None else self.trace.copy()
         c.enabled = self.enabled.copy()
         c.in_flight_total = self.in_flight_total
-        c.halted_count = self.halted_count
         c.leaders = self.leaders.copy()
         c.moves = self.moves
         c.node_indices = self.node_indices.copy()
@@ -307,7 +304,7 @@ class NetworkState:
         return len(self.leaders)
 
     def all_halted(self):
-        return self.halted_count == len(self.node_states)
+        return all(s.halted for s in self.node_states)
 
     def outputs(self):
         return tuple(s.output for s in self.node_states)
@@ -332,17 +329,16 @@ class NetworkState:
                 if count != self.delivered_edges[i] + self.in_flight[i]:
                     raise AssertionError("conservation broken on edge %r"
                                          % (self.dir_edges[i],))
-        for name, want in zip(("enabled", "in_flight_total", "halted_count",
-                               "leaders"), self._scan()):
+        for name, want in zip(("enabled", "in_flight_total", "leaders"),
+                              self._scan()):
             if getattr(self, name) != want:
                 raise AssertionError("%s is %r, a scan gives %r"
                                      % (name, getattr(self, name), want))
 
     def _scan(self):
-        """enabled, in_flight_total, halted_count and leaders, recounted."""
+        """enabled, in_flight_total and leaders, recounted."""
         return ([i for i, c in enumerate(self.in_flight) if c > 0],
                 sum(self.in_flight),
-                [s.halted for s in self.node_states].count(True),
                 [v for v, s in enumerate(self.node_states)
                  if s.output == LEADER])
 
@@ -372,13 +368,14 @@ def _drive(state, pick, budget, once=False):
     rows = moves.rows if moves.nodes else None
     general = state.algorithm == "general"
     stabilizing = state.algorithm == "stabilizing"
-    n = len(node_states)
     deliveries = state.deliveries
     total = state.in_flight_total
     violated = state.violation is not None
     while True:
         if not once:
-            if not total and state.halted_count == n:
+            # With nothing in flight the loop returns below, so this
+            # scan runs at most once per call.
+            if not total and state.all_halted():
                 return "terminated"
             if stabilizing and _is_stabilized(state):
                 return "stabilized"
@@ -421,8 +418,6 @@ def _drive(state, pick, budget, once=False):
             else:
                 new_state, sends, declares = react(receiver, port)
             node_states[v] = new_state
-            if new_state.halted:
-                state.halted_count += 1
             if declares:
                 insort(state.leaders, v)
                 # Snapshot before the leader's own broadcast goes out:

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import gc
 import io
+import json
 import random
 import weakref
 
@@ -13,6 +14,7 @@ from pulseforge.harness import (
     GenerationError,
     GeneratorSpec,
     SWEEP_COLUMNS,
+    SWEEP_SCHEMA,
     builtin_tree,
     complete_binary_tree,
     expected_total_pulses,
@@ -25,10 +27,10 @@ from pulseforge.harness import (
     resolve_tree,
     star_tree,
     stabilizing_pair_total,
-    ExperimentReport,
-    sweep,
+    sweep_rows,
     verify_model_check,
     verify_outcome,
+    write_csv,
     write_json,
 )
 from pulseforge.protocol import OddDiameterError, SymmetricTreeError
@@ -223,6 +225,12 @@ def test_verify_model_check_names_each_doctored_failure():
     assert _failed_mc_checks(loud, t) == {"nonquiescent_declarations"}
 
 
+def _sweep(specs, algorithm, seeds, budget=0):
+    """The rows of sweep_rows and the failed checks of every row."""
+    results = list(sweep_rows(specs, algorithm, seeds, budget=budget))
+    return [row for row, _ in results], [c for _, fs in results for c in fs]
+
+
 def test_sweep_releases_its_trees(monkeypatch):
     refs = []
     real_generate = harness.generate
@@ -235,50 +243,50 @@ def test_sweep_releases_its_trees(monkeypatch):
         return t
 
     monkeypatch.setattr(harness, "generate", tracked)
-    report = sweep([GeneratorSpec("random-asymmetric", n=7)], "general",
-                   seeds=range(5))
-    assert report.passed and len(refs) == 5
+    rows, failures = _sweep([GeneratorSpec("random-asymmetric", n=7)],
+                            "general", seeds=range(5))
+    assert not failures and len(rows) == len(refs) == 5
     gc.collect()
     assert all(ref() is None for ref in refs)
 
 
 def test_sweep_rows_reproducible_and_sorted():
     specs = [GeneratorSpec("random-asymmetric", n=n) for n in (5, 6, 7)]
-    a = sweep(specs, "general", seeds=[0, 1, 2])
-    b = sweep(specs, "general", seeds=[2, 0, 1])
+    a, failures = _sweep(specs, "general", seeds=[0, 1, 2])
+    b, _ = _sweep(specs, "general", seeds=[2, 0, 1])
     strip = lambda rows: [{k: v for k, v in r.items() if k != "wall_time"}
                           for r in rows]
-    assert strip(a.rows) == strip(b.rows)
-    assert a.passed
-    keys = [(r["generator"], r["n"], r["algorithm"], r["seed"])
-            for r in a.rows]
+    assert strip(a) == strip(b)
+    assert not failures
+    keys = [(r["generator"], r["n"], r["algorithm"], r["seed"]) for r in a]
     assert keys == sorted(keys)
-    assert all(r["status"] == "terminated" for r in a.rows)
+    assert all(r["status"] == "terminated" for r in a)
 
 
 def test_sweep_even_binary_bound_is_exact():
-    report = sweep([GeneratorSpec("complete-binary", radius=r)
-                    for r in (1, 2, 3)], "even", seeds=range(5))
-    assert report.passed
-    for row in report.rows:
+    rows, failures = _sweep([GeneratorSpec("complete-binary", radius=r)
+                             for r in (1, 2, 3)], "even", seeds=range(5))
+    assert not failures and len(rows) == 15
+    for row in rows:
         assert row["bound_ok"] and row["leader_ok"]
         assert row["pulses"] == row["bound"]
 
 
 def test_sweep_stabilizing_bound_is_3n_minus_1():
-    report = sweep([GeneratorSpec("random", n=6)], "stabilizing",
-                   seeds=range(10))
-    assert report.passed
-    for row in report.rows:
+    rows, failures = _sweep([GeneratorSpec("random", n=6)], "stabilizing",
+                            seeds=range(10))
+    assert not failures and len(rows) == 10
+    for row in rows:
         assert row["bound"] == 17
         assert row["pulses"] <= 17
         assert row["status"] in ("stabilized", "terminated")
 
 
 def test_sweep_csv_schema():
-    report = sweep([GeneratorSpec("path", n=3)], "even", seeds=[0])
     buf = io.StringIO()
-    report.write_csv(buf)
+    failures = write_csv(buf, sweep_rows([GeneratorSpec("path", n=3)],
+                                         "even", seeds=[0]))
+    assert failures == []
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "# pulseforge sweep schema v1"
     assert lines[1] == ",".join(SWEEP_COLUMNS)
@@ -289,22 +297,23 @@ def test_sweep_csv_schema():
 
 
 def test_a_streamed_json_sweep_equals_the_report():
-    failing = sweep([GeneratorSpec("path", n=5)], "even", [0, 1], budget=3)
-    assert failing.failures
-    reports = [sweep([GeneratorSpec("path", n=3)], "even", range(3)),
-               failing,
-               sweep([GeneratorSpec("star", n=4)], "even", [7]),
-               ExperimentReport(rows=[], failures=[])]
-    for report in reports:
-        failures = []
-
-        def rows():
-            for row in report.rows:
-                yield row
-            failures.extend(report.failures)
+    sweeps = [list(sweep_rows([GeneratorSpec("path", n=3)], "even",
+                              range(3))),
+              list(sweep_rows([GeneratorSpec("path", n=5)], "even", [0, 1],
+                              budget=3)),
+              list(sweep_rows([GeneratorSpec("star", n=4)], "even", [7])),
+              []]
+    assert [len(results) for results in sweeps] == [3, 2, 1, 0]
+    assert all(failed for _, failed in sweeps[1])
+    for results in sweeps:
+        rows = [row for row, _ in results]
+        failures = [c for _, failed in results for c in failed]
         buf = io.StringIO()
-        write_json(buf, rows(), failures)
-        assert buf.getvalue() == report.to_json() + "\n"
+        assert write_json(buf, iter(results)) == failures
+        document = {"passed": not failures, "rows": rows,
+                    "schema": SWEEP_SCHEMA}
+        assert buf.getvalue() == json.dumps(document, sort_keys=True,
+                                            indent=2) + "\n"
 
 
 def test_builtin_trees():
