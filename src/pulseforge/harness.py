@@ -19,7 +19,7 @@ import shutil
 import tempfile
 import time
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import index, itemgetter
 
 from .protocol import LEADER, OddDiameterError, SymmetricTreeError
 from .simulator import SeededRandom, new_simulation, run
@@ -73,20 +73,50 @@ def complete_binary_tree(radius):
     return TreeTopology(n, [((i - 1) // 2, i) for i in range(1, n)])
 
 
+def _prufer_draws(rng, n):
+    """The n - 2 draws of rng.randrange(n) that make a Prüfer sequence.
+
+    randrange(n) draws n.bit_length() bits until they fall below n on
+    CPython 3.10 to 3.13; for a plain Random this loop draws the same.
+    A subclass may draw otherwise, so it is asked for randrange.
+    """
+    if type(rng) is not random.Random:
+        return [rng.randrange(n) for _ in range(n - 2)]
+    bits = rng.getrandbits
+    k = index(n).bit_length()
+    seq = []
+    for _ in range(n - 2):
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        seq.append(r)
+    return seq
+
+
 def _prufer_decode(seq, n):
+    """The edges (leaf, its neighbor) of the tree with Prüfer sequence
+    seq, in the order the smallest leaf is removed, in linear time.
+
+    ptr walks up over the vertices once; a vertex that turns into a leaf
+    below ptr is the smallest leaf at once, and one above it is met by
+    the walk. The last edge joins the last leaf to n - 1.
+    """
     degree = [1] * n
     for x in seq:
         degree[x] += 1
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
+    leaf = ptr = degree.index(1)
     edges = []
     for x in seq:
-        leaf = heapq.heappop(leaves)
         edges.append((leaf, x))
         degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaves, x)
-    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
+        if x < ptr and degree[x] == 1:
+            leaf = x
+        else:
+            ptr += 1
+            while degree[ptr] != 1:
+                ptr += 1
+            leaf = ptr
+    edges.append((leaf, n - 1))
     return edges
 
 
@@ -99,8 +129,7 @@ def random_tree(n, seed):
     if n == 2:
         return TreeTopology(2, [(0, 1)])
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    seq = [rng.randrange(n) for _ in range(n - 2)]
-    return TreeTopology(n, _prufer_decode(seq, n))
+    return TreeTopology(n, _prufer_decode(_prufer_draws(rng, n), n))
 
 
 def random_asymmetric_tree(n, seed):

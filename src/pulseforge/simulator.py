@@ -6,8 +6,8 @@ multiset of them is fully described by its size. A scheduler picks
 which nonempty directed edge delivers next; delivery invokes the
 receiver's automaton and enqueues whatever it sends. One loop, _drive,
 holds the only delivery code: run uses it until a verdict, step() for
-one pulse. It finds the receiver and arrival port of an edge in a
-per-edge table built once per network state, and keeps its hot fields
+one pulse. It finds the receiver and arrival port of an edge in two
+per-edge tables built once per network state, and keeps its hot fields
 in locals that it writes back after each delivery. A node's reply to a
 pulse depends only on its state and the arrival port, so one
 StepTable per network state computes every reply: the successor and
@@ -31,9 +31,11 @@ from __future__ import annotations
 import hashlib
 import random
 from bisect import bisect_left, bisect_right, insort
+from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, compress, repeat
 from math import ceil
+from operator import add
 
 from . import protocol
 from .protocol import (
@@ -73,7 +75,7 @@ def _normalize_ids(t, ids):
     ids = tuple(ids)
     if len(ids) != t.n:
         raise MissingIdsError("got %d IDs for %d vertices" % (len(ids), t.n))
-    if any(not isinstance(x, int) or x < 1 for x in ids):
+    if not all(map(isinstance, ids, repeat(int))) or min(ids) < 1:
         raise MissingIdsError("IDs must be positive integers: %r" % (ids,))
     if len(set(ids)) != len(ids):
         raise DuplicateIdsError("IDs must be pairwise distinct: %r" % (ids,))
@@ -157,9 +159,9 @@ class NetworkState:
 
     Directed edge i is dir_edges[i] = (u, v); the outgoing edges of
     vertex v occupy the contiguous index block starting at offset[v],
-    in port order, so port p of v is edge offset[v] + p. arrive[i] is
-    (v, the port at v that edge i arrives on), built once and shared
-    by clones; dir_edges is built on first use.
+    in port order, so port p of v is edge offset[v] + p. Edge i arrives
+    at vertex receiver[i] on its port arrival[i]; both tables are built
+    once and shared by clones, and dir_edges is built on first use.
 
     The counters per directed edge are in_flight and delivered_edges;
     the pulses sent on an edge are counted once, in the sender's `sent`.
@@ -181,8 +183,9 @@ class NetworkState:
                  "node_states", "in_flight", "delivered_edges",
                  "sent_by_category", "deliveries", "deliveries_to_halted",
                  "leader_step", "in_flight_at_leader", "violation",
-                 "trace", "offset", "_dir_edges", "arrive", "enabled",
-                 "in_flight_total", "leaders", "moves", "node_indices")
+                 "trace", "offset", "_dir_edges", "receiver", "arrival",
+                 "enabled", "in_flight_total", "leaders", "moves",
+                 "node_indices")
 
     def __init__(self, topology, algorithm, rules, ids, layering,
                  record_trace=False):
@@ -195,10 +198,8 @@ class NetworkState:
         total = sum(degrees)
         self.offset = offset = tuple(accumulate(degrees, initial=0))[:-1]
         self._dir_edges = None
-        self.arrive = tuple(zip(chain.from_iterable(topology.neighbors),
-                                chain.from_iterable(topology.back_ports)))
-        self.node_states = []
-        self.in_flight = in_flight = [0] * total
+        self.receiver = tuple(chain.from_iterable(topology.neighbors))
+        self.arrival = tuple(chain.from_iterable(topology.back_ports))
         self.delivered_edges = [0] * total
         self.sent_by_category = by_category = {cat: 0 for cat in CATEGORIES}
         self.deliveries = 0
@@ -209,35 +210,45 @@ class NetworkState:
         self.trace = [] if record_trace else None
         self.moves = moves = StepTable(algorithm, rules,
                                        total if algorithm == "even" else 0)
-        self.node_indices = []
         # A start depends on the degree alone, apart from a stabilizing
-        # node's ID, so each degree's state, index and sends are built
-        # once and shared; a stabilizing node gets its own ID (its
-        # table has no room, so the index is None).
-        starts = {}
-        for v, d in enumerate(degrees):
-            start = starts.get(d)
-            if start is None:
-                if algorithm == "stabilizing":
-                    state, sends = protocol.init_stabilizing(d, None)
-                else:
-                    state, sends = protocol.init_node(d, rules)
-                start = starts[d] = state, moves.intern(state), sends
-            state, index, sends = start
+        # node's ID, so each degree's state, index and pulses per port
+        # are built once, in order of first appearance (the order the
+        # table interns them), and each vertex reads its degree's.
+        state_of, index_of, counts_of, leading = {}, {}, {}, set()
+        for d, copies in Counter(degrees).items():
             if algorithm == "stabilizing":
-                state = tuple.__new__(NodeState, state[:-1] + (ids[v],))
-            self.node_states.append(state)
-            self.node_indices.append(index)
-            if state.output == LEADER:
-                # Only an isolated vertex declares at init, with
-                # nothing in flight towards it.
-                self.leader_step = 0
-                self.in_flight_at_leader = sum(in_flight)
+                state, sends = protocol.init_stabilizing(d, None)
+            else:
+                state, sends = protocol.init_node(d, rules)
+            state_of[d], index_of[d] = state, moves.intern(state)
+            counts_of[d] = counts = [0] * d
             for port, count, category in sends:
-                ei = offset[v] + port
-                in_flight[ei] += count
-                by_category[category] += count
-        self.enabled, self.in_flight_total, self.leaders = self._scan()
+                counts[port] += count
+                by_category[category] += count * copies
+            if state.output == LEADER:
+                leading.add(d)
+        if algorithm == "stabilizing":
+            # A stabilizing node is its degree's start with its ID last.
+            heads = {d: s[:-1] for d, s in state_of.items()}
+            self.node_states = list(map(
+                tuple.__new__, repeat(NodeState),
+                map(add, map(heads.get, degrees), zip(ids))))
+        else:
+            self.node_states = list(map(state_of.get, degrees))
+        self.node_indices = list(map(index_of.get, degrees))
+        self.in_flight = in_flight = list(
+            chain.from_iterable(map(counts_of.get, degrees)))
+        self.enabled = list(compress(range(total), in_flight))
+        self.in_flight_total = sum(in_flight)
+        self.leaders = []
+        if leading:
+            # As if the starts went out one vertex at a time: only an
+            # isolated vertex declares at its start, with nothing in
+            # flight towards it.
+            self.leaders = [v for v, d in enumerate(degrees) if d in leading]
+            self.leader_step = 0
+            self.in_flight_at_leader = sum(
+                in_flight[:offset[self.leaders[-1]]])
 
     def clone(self):
         c = NetworkState.__new__(NetworkState)
@@ -248,7 +259,8 @@ class NetworkState:
         c.layering = self.layering
         c.offset = self.offset
         c._dir_edges = self._dir_edges
-        c.arrive = self.arrive
+        c.receiver = self.receiver
+        c.arrival = self.arrival
         c.node_states = self.node_states.copy()
         c.in_flight = self.in_flight.copy()
         c.delivered_edges = self.delivered_edges.copy()
@@ -269,7 +281,7 @@ class NetworkState:
     @property
     def dir_edges(self):
         """The (u, v) pair of each directed-edge index, built on first
-        use; the delivery loop reads arrive instead."""
+        use; the delivery loop reads receiver and arrival instead."""
         if self._dir_edges is None:
             self._dir_edges = tuple(self.topology.directed_edges())
         return self._dir_edges
@@ -358,7 +370,8 @@ def _drive(state, pick, budget, once=False):
     node_states = state.node_states
     delivered_edges = state.delivered_edges
     by_category = state.sent_by_category
-    arrive = state.arrive
+    receivers = state.receiver
+    arrivals = state.arrival
     offset = state.offset
     trace = state.trace
     node_indices = state.node_indices
@@ -398,7 +411,7 @@ def _drive(state, pick, budget, once=False):
         delivered_edges[ei] += 1
         deliveries += 1
         total -= 1
-        v, port = arrive[ei]
+        v = receivers[ei]
         receiver = node_states[v]
         if receiver.halted:
             # Halted means the device is off; the pulse is absorbed and
@@ -410,6 +423,7 @@ def _drive(state, pick, budget, once=False):
                 violated = True
             sends = ()
         else:
+            port = arrivals[ei]
             if rows is not None and (i := node_indices[v]) is not None:
                 slot = rows[i][port]
                 if slot is None:
@@ -635,7 +649,7 @@ def _is_stabilized(state):
         return False
     incoming = {}
     for i in state.enabled:
-        v = state.arrive[i][0]
+        v = state.receiver[i]
         incoming[v] = incoming.get(v, 0) + state.in_flight[i]
     for v, total in incoming.items():
         s = state.node_states[v]
@@ -780,8 +794,8 @@ def explore_all_schedules(t, algorithm, ids=None, *, rules=None,
     offset = root.offset
     n = t.n
     m = len(root.dir_edges)
-    receiver = [v for v, _ in root.arrive]
-    arrival = [port for _, port in root.arrive]
+    receiver = root.receiver
+    arrival = root.arrival
     layering = root.layering
     wrong_way = None if layering is None else [
         layering.parent_of[u] != v for u, v in root.dir_edges]

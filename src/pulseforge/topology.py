@@ -53,44 +53,14 @@ class TreeTopology:
     def __init__(self, n, edges):
         if n < 1:
             raise ParseError("need at least one vertex")
-        adj = [[] for _ in range(n)]
-        back = [[] for _ in range(n)]
-        seen = set()
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise BadTokenError("vertex label out of range: %r" % ((u, v),))
-            if u == v:
-                raise CycleError("self loop at vertex %d" % u)
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise DuplicateEdgeError("duplicate edge %r" % (key,))
-            seen.add(key)
-            # Each end's next port is the length of its list so far.
-            back[u].append(len(adj[v]))
-            back[v].append(len(adj[u]))
-            adj[u].append(v)
-            adj[v].append(u)
-        if len(seen) > n - 1:
-            raise CycleError("%d edges on %d vertices" % (len(seen), n))
-        # Reachability from vertex 0. With exactly n-1 edges, connected
-        # is equivalent to acyclic, so this is the whole tree check.
-        reached = [False] * n
-        reached[0] = True
-        frontier = [0]
-        while frontier:
-            v = frontier.pop()
-            for u in adj[v]:
-                if not reached[u]:
-                    reached[u] = True
-                    frontier.append(u)
-        if not all(reached):
-            raise DisconnectedError(
-                "vertices unreachable from 0: %s"
-                % [v for v in range(n) if not reached[v]]
-            )
+        edges = list(edges)
+        wired = _wire(n, edges) if len(edges) == n - 1 else None
+        if wired is None:
+            _refuse(n, edges)
+        adj, back = wired
         self.n = n
-        self.neighbors = tuple(tuple(a) for a in adj)
-        self.back_ports = tuple(tuple(b) for b in back)
+        self.neighbors = tuple(map(tuple, adj))
+        self.back_ports = tuple(map(tuple, back))
         self._port_of = None    # built by the first port_to call
         self._layering = None  # filled in by layer_decomposition
 
@@ -122,6 +92,70 @@ class TreeTopology:
 
     def __repr__(self):
         return "TreeTopology(n=%d, edges=%r)" % (self.n, self.edges())
+
+
+def _reached(adj):
+    """Per vertex, whether a search from vertex 0 reaches it."""
+    reached = [False] * len(adj)
+    reached[0] = True
+    order = [0]
+    for v in order:
+        for u in adj[v]:
+            if not reached[u]:
+                reached[u] = True
+                order.append(u)
+    return reached
+
+
+def _wire(n, edges):
+    """The neighbor and back-port lists of n - 1 edges that form a tree
+    on 0..n-1, or None when they do not.
+
+    Each end's next port is the length of its list so far. n - 1 edges
+    reach every vertex from 0 exactly when they hold no cycle, self
+    loop or duplicate, so a search is the whole check once every label
+    is in range: a negative one is caught here, and one past n, or an
+    edge that is not a pair of labels, makes the wiring raise.
+    """
+    adj = [[] for _ in range(n)]
+    back = [[] for _ in range(n)]
+    try:
+        for u, v in edges:
+            if u < 0 or v < 0:
+                return None
+            au, av = adj[u], adj[v]
+            back[u].append(len(av))
+            back[v].append(len(au))
+            au.append(v)
+            av.append(u)
+    except (TypeError, ValueError, IndexError):
+        return None
+    return (adj, back) if all(_reached(adj)) else None
+
+
+def _refuse(n, edges):
+    """Raise the first error of edges that do not form a tree on n
+    vertices: per edge in input order, a label out of range, a self
+    loop or a duplicate; then more than n - 1 edges; then the vertices
+    unreachable from 0."""
+    adj = [[] for _ in range(n)]
+    seen = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise BadTokenError("vertex label out of range: %r" % ((u, v),))
+        if u == v:
+            raise CycleError("self loop at vertex %d" % u)
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise DuplicateEdgeError("duplicate edge %r" % (key,))
+        seen.add(key)
+        adj[u].append(v)
+        adj[v].append(u)
+    if len(seen) > n - 1:
+        raise CycleError("%d edges on %d vertices" % (len(seen), n))
+    reached = _reached(adj)
+    raise DisconnectedError("vertices unreachable from 0: %s"
+                            % [v for v in range(n) if not reached[v]])
 
 
 def parse_edge_list(text):

@@ -2,6 +2,7 @@
 against. Everything here is written from the definitions, on purpose
 without reusing the package's own traversal or comparison code."""
 
+import heapq
 import itertools
 from functools import cmp_to_key
 
@@ -146,6 +147,39 @@ def all_labeled_trees(n):
                 bisect.insort(leaves, x)
         edges.append((leaves[0], leaves[1]))
         yield edges
+
+
+def prufer_random_edges(n, rng):
+    """The edges of random_tree(n, rng) for n >= 3: n - 2 draws of
+    rng.randrange(n), decoded by the textbook rule with a heap, each
+    edge (smallest leaf, its neighbor), the last joining the two
+    vertices left."""
+    seq = [rng.randrange(n) for _ in range(n - 2)]
+    degree = [1] * n
+    for x in seq:
+        degree[x] += 1
+    leaves = [v for v in range(n) if degree[v] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for x in seq:
+        edges.append((heapq.heappop(leaves), x))
+        degree[x] -= 1
+        if degree[x] == 1:
+            heapq.heappush(leaves, x)
+    return edges + [(heapq.heappop(leaves), heapq.heappop(leaves))]
+
+
+def ports_of(n, edges):
+    """(neighbors, back ports) of an edge list, as tuples per vertex:
+    each end lists the other in input order, and the back port is the
+    other end's position in that end's list."""
+    nbrs = [[] for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    back = tuple(tuple(nbrs[u].index(v) for u in nbrs[v])
+                 for v in range(n))
+    return tuple(map(tuple, nbrs)), back
 
 
 def nonisomorphic_trees(n):

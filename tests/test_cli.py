@@ -579,6 +579,29 @@ def test_a_cycle_with_n_minus_one_edges_exits_2(tmp_path, capsys):
                    "[3, 4]\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("0 1 1 2 1 0", "DuplicateEdgeError: duplicate edge (0, 1)"),
+    ("0 1 2 1 1 2", "DuplicateEdgeError: duplicate edge (1, 2)"),
+    ("0 0 1 2", "CycleError: self loop at vertex 0"),
+    ("0 1 1 0 1 3", "DuplicateEdgeError: duplicate edge (0, 1)"),
+    ("0 1 1 2 2 0", "CycleError: 3 edges on 3 vertices"),
+    ("0 1 1 2 3 3", "CycleError: self loop at vertex 3"),
+    ("0 1 0 1 2 3", "DuplicateEdgeError: duplicate edge (0, 1)"),
+    ("0 1 1 2 0 2 3 4",
+     "DisconnectedError: vertices unreachable from 0: [3, 4]"),
+    ("0 1 1 -2", "BadTokenError: negative vertex label '-2'"),
+    ("0 1 5 6", "DisconnectedError: labels reach 6, but 2 edge(s) connect "
+                "at most 3 vertices"),
+])
+def test_a_refused_edge_list_exits_2_in_one_line(tmp_path, capsys, text,
+                                                 message):
+    f = tmp_path / "bad.edges"
+    f.write_text(text + "\n")
+    code, out, err = run_cli(capsys, "layers", "--tree", str(f))
+    assert code == 2 and out == ""
+    assert err == "error: %s\n" % message
+
+
 @pytest.mark.parametrize("argv", [
     ["layers", "--tree", "c5"],
     ["encode", "--tree", "c5"],

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import gc
+import hashlib
 import io
 import json
 import random
@@ -105,6 +106,65 @@ def test_random_tree_hits_every_labeled_shape():
     # uniform over Prüfer sequences: every labeled 3-vertex tree shows up
     seen = {tuple(random_tree(3, s).edges()) for s in range(60)}
     assert len(seen) == 3
+
+
+def _ports(t):
+    return t.neighbors, t.back_ports
+
+
+def test_random_tree_equals_the_heap_decoder():
+    # The linear decoder and its getrandbits draws against the textbook
+    # heap decoder over randrange: same edges in the same order, so the
+    # same ports.
+    cases = [(n, s) for n in range(3, 61) for s in range(100)]
+    cases += [(n, s) for n in (1000, 5000) for s in range(3)]
+    for n, s in cases:
+        edges = oracles.prufer_random_edges(n, random.Random(s))
+        assert _ports(random_tree(n, s)) == oracles.ports_of(n, edges)
+        # Ports do not show which end of an edge comes first; the list
+        # handed to TreeTopology does.
+        seq = harness._prufer_draws(random.Random(s), n)
+        assert harness._prufer_decode(seq, n) == edges, (n, s)
+
+
+class _FloatDraws(random.Random):
+    """Overrides random() alone, so randrange draws from random()."""
+
+    def random(self):
+        return super().random()
+
+
+@pytest.mark.parametrize("make", [random.Random, _FloatDraws])
+def test_random_tree_draws_what_randrange_draws_from_a_given_rng(make):
+    differ = 0
+    for n in (3, 7, 40, 1000):
+        for s in range(5):
+            rng, ref = make(s), make(s)
+            want = oracles.prufer_random_edges(n, ref)
+            assert _ports(random_tree(n, rng)) == oracles.ports_of(n, want)
+            # The next draw is the same too, as random_asymmetric_tree
+            # draws its retries from one rng.
+            assert rng.getstate() == ref.getstate()
+            differ += want != oracles.prufer_random_edges(
+                n, random.Random(s))
+    # random() draws differ from getrandbits draws, so the subclass
+    # case checks that they are the ones made.
+    assert (differ > 0) == (make is _FloatDraws)
+
+
+@pytest.mark.parametrize("make, args, digest", [
+    (random_asymmetric_tree, (6, 3), "5198eb58e71a24fb"),   # six draws
+    (random_asymmetric_tree, (10, 1), "910f10c81f3d6444"),
+    (random_asymmetric_tree, (200, 7), "ecc57fe6180b20e1"),
+    (random_asymmetric_tree, (1000, 3), "52346d8ff8d6afe5"),
+    (mirrored_tree, (1, 0), "83458fcbdf2a8153"),
+    (mirrored_tree, (5, 2), "d6704670b998cc30"),
+    (mirrored_tree, (300, 4), "7fcd86d265f2497b"),
+])
+def test_derived_generators_are_pinned(make, args, digest):
+    t = make(*args)
+    got = hashlib.sha256(repr(_ports(t)).encode()).hexdigest()[:16]
+    assert got == digest
 
 
 def test_random_asymmetric_tree_always_passes_the_gate():

@@ -10,6 +10,7 @@ import pytest
 import oracles
 from pulseforge import protocol, simulator
 from pulseforge.protocol import (
+    CATEGORIES,
     CAT_BROADCAST,
     CAT_ELECTION,
     CAT_UPSTREAM,
@@ -22,6 +23,7 @@ from pulseforge.protocol import (
     Send,
     UpstreamRule,
     compile_general_rules,
+    init_node,
     init_stabilizing,
 )
 from pulseforge.simulator import (
@@ -246,6 +248,43 @@ def test_stabilizing_id_validation():
     assert s.ids == (5, 1, 3)
 
 
+def _assert_starts_one_vertex_at_a_time(s):
+    """s equals the start built one vertex at a time: each node's
+    init_node or init_stabilizing with its own ID, its sends applied
+    one by one, and each state interned in vertex order."""
+    t, algorithm = s.topology, s.algorithm
+    states, in_flight, by_category = [], [], dict.fromkeys(CATEGORIES, 0)
+    leaders, leader_step, at_leader = [], None, None
+    for v in range(t.n):
+        if algorithm == "stabilizing":
+            ns, sends = init_stabilizing(t.degree(v), s.ids[v])
+        else:
+            ns, sends = init_node(t.degree(v), s.rules)
+        if ns.output == LEADER:
+            leaders.append(v)
+            leader_step, at_leader = 0, sum(in_flight)
+        counts = [0] * t.degree(v)
+        for port, count, category in sends:
+            counts[port] += count
+            by_category[category] += count
+        states.append(ns)
+        in_flight += counts
+    table = StepTable(algorithm, s.rules,
+                      len(in_flight) if algorithm == "even" else 0)
+    assert all(type(ns) is NodeState for ns in s.node_states)
+    assert s.node_states == states
+    assert s.node_indices == [table.intern(ns) for ns in states]
+    assert s.moves.nodes == table.nodes
+    assert s.in_flight == in_flight
+    assert s.sent_by_category == by_category
+    assert s.enabled == [i for i, c in enumerate(in_flight) if c > 0]
+    assert s.in_flight_total == sum(in_flight)
+    assert s.leaders == leaders
+    assert s.leader_step == leader_step
+    assert s.in_flight_at_leader == at_leader
+    s.check_conservation()
+
+
 def test_stabilizing_starts_equal_init_stabilizing():
     cases = [(t, ids) for t in _shapes(5)
              for ids in itertools.permutations(range(1, t.n + 1))]
@@ -254,17 +293,24 @@ def test_stabilizing_starts_equal_init_stabilizing():
         random.Random(seed).shuffle(ids)
         cases.append((random_tree(1000, seed), ids))
     for t, ids in cases:
-        s = new_simulation(t, "stabilizing", ids)
-        in_flight = []
-        for v, ns in enumerate(s.node_states):
-            want, sends = init_stabilizing(t.degree(v), ids[v])
-            assert type(ns) is NodeState and ns == want
-            counts = [0] * t.degree(v)
-            for port, count, _ in sends:
-                counts[port] += count
-            in_flight += counts
-        assert s.in_flight == in_flight
-        s.check_conservation()
+        _assert_starts_one_vertex_at_a_time(
+            new_simulation(t, "stabilizing", ids))
+
+
+@pytest.mark.parametrize("algorithm", ["even", "general"])
+def test_rule_driven_starts_equal_init_node(algorithm):
+    trees = _shapes(7) + [random_tree(1000, seed) for seed in range(3)]
+    built = 0
+    for t in trees:
+        try:
+            s = new_simulation(t, algorithm)
+        except ValueError:   # odd diameter or edge-symmetric
+            continue
+        _assert_starts_one_vertex_at_a_time(s)
+        built += 1
+    # even: 15 shapes and two of the random trees; general: 21 shapes
+    # and all three.
+    assert built == (17 if algorithm == "even" else 24)
 
 
 def test_unknown_algorithm_rejected():

@@ -14,6 +14,7 @@ from pulseforge.topology import (
     DisconnectedError,
     DuplicateEdgeError,
     ParensError,
+    ParseError,
     TreeTopology,
     compare_subtrees,
     decode_parens,
@@ -61,6 +62,103 @@ def test_parse_edge_list_errors():
         parse_edge_list("0 1 1 2 2 0")
     with pytest.raises(DisconnectedError):
         parse_edge_list("0 1 3 4")
+
+
+def _unpack(edge):
+    u, v = edge
+    return u, v
+
+
+def _raised(make):
+    try:
+        make()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+# (n, edges, what TreeTopology raises). A list of n - 1 edges is
+# accepted by a search alone; anything else is named by the first
+# error of a scan in input order: per edge a label out of range, a
+# self loop or a duplicate, then more than n - 1 edges, then the
+# vertices unreachable from 0.
+_REFUSED = [
+    (0, [], ParseError, "need at least one vertex"),
+    (4, [(0, 1), (1, 2), (0, 1)], DuplicateEdgeError, "duplicate edge (0, 1)"),
+    (4, [(0, 1), (2, 1), (1, 2)], DuplicateEdgeError, "duplicate edge (1, 2)"),
+    (4, [(0, 1), (2, 2), (1, 3)], CycleError, "self loop at vertex 2"),
+    (1, [(0, 0)], CycleError, "self loop at vertex 0"),
+    (4, [(0, 1), (1, 0), (1, 9)], DuplicateEdgeError, "duplicate edge (0, 1)"),
+    (2, [(0, 1), (0, 1), (5, 5)], DuplicateEdgeError, "duplicate edge (0, 1)"),
+    (3, [(0, 1), (1, 3)], BadTokenError, "vertex label out of range: (1, 3)"),
+    (3, [(0, 1), (1, -1)], BadTokenError,
+     "vertex label out of range: (1, -1)"),
+    # -1 would index vertex 3 from the end and wire a tree.
+    (4, [(0, 3), (1, 2), (2, -1)], BadTokenError,
+     "vertex label out of range: (2, -1)"),
+    (3, [(0, 1), (0, 2), (1, 2), (0, 9)], BadTokenError,
+     "vertex label out of range: (0, 9)"),
+    (3, [(0, 1), (1, 2), (2, 0)], CycleError, "3 edges on 3 vertices"),
+    (5, [(0, 1), (1, 2), (2, 0), (3, 4)], DisconnectedError,
+     "vertices unreachable from 0: [3, 4]"),
+    (4, [(0, 1), (1, 2)], DisconnectedError,
+     "vertices unreachable from 0: [3]"),
+    (2, [], DisconnectedError, "vertices unreachable from 0: [1]"),
+    (3, [(0, 1), (1, 2.0)], TypeError,
+     "list indices must be integers or slices, not float"),
+    (3, [(0, 1), (1, "2")], TypeError,
+     "'<=' not supported between instances of 'int' and 'str'"),
+    (3, [(0, 1), 5], TypeError, "cannot unpack non-iterable int object"),
+]
+
+
+@pytest.mark.parametrize("n, edges, cls, message", _REFUSED)
+def test_refused_edge_lists_name_their_first_error(n, edges, cls, message):
+    assert _raised(lambda: TreeTopology(n, edges)) == (cls, message)
+    # An edge iterator is read once, also when it is refused.
+    assert _raised(lambda: TreeTopology(n, iter(edges))) == (cls, message)
+
+
+@pytest.mark.parametrize("edge", [(1, 2, 3), (1,)])
+def test_an_edge_that_is_not_a_pair_raises_what_unpacking_raises(edge):
+    # The message of a failed unpack differs between Python releases.
+    assert _raised(lambda: TreeTopology(3, [(0, 1), edge])) == \
+        _raised(lambda: _unpack(edge))
+
+
+def test_an_edge_iterator_builds_the_tree_its_list_builds():
+    edges = [(3, 1), (1, 0), (2, 1), (4, 3)]
+    t = TreeTopology(5, iter(edges))
+    assert (t.neighbors, t.back_ports) == oracles.ports_of(5, edges)
+
+
+def test_edge_lists_are_accepted_exactly_when_they_form_a_tree():
+    rng = random.Random(5)
+    accepted = 0
+    for _ in range(3000):
+        n = rng.randint(1, 7)
+        if rng.random() < 0.5:
+            # A tree, its edges shuffled and some reversed.
+            edges = [e[::rng.choice((1, -1))]
+                     for e in random_tree(n, rng.randrange(10 ** 6)).edges()]
+            rng.shuffle(edges)
+        else:
+            edges = [(rng.randint(-1, n), rng.randint(-1, n))
+                     for _ in range(max(n + rng.randint(-2, 1), 0))]
+        in_range = all(0 <= x < n for e in edges for x in e)
+        g = nx.MultiGraph()
+        g.add_nodes_from(range(n))
+        g.add_edges_from(edges)
+        is_tree = in_range and nx.is_tree(g)
+        try:
+            t = TreeTopology(n, edges)
+        except ParseError:
+            assert not is_tree, edges
+        else:
+            assert is_tree, edges
+            assert (t.neighbors, t.back_ports) == oracles.ports_of(n, edges)
+            accepted += 1
+    assert accepted > 1500
 
 
 def test_ports_are_stable_and_invertible():
