@@ -202,7 +202,10 @@ class Layering:
     and arbitrary_root is set; the lower vertex index is used then.
     shapes is the SubtreeIndex of the tree's rooted subtree shapes; rule
     compilation, the comparator and the CLI read it instead of scanning
-    the tree again.
+    the tree again. An odd diameter builds it with the layering, since
+    the root choice reads it; an even one builds it on its first read
+    and keeps it, so even and stabilizing runs, which never read it,
+    never build it.
     """
 
     __slots__ = (
@@ -214,7 +217,7 @@ class Layering:
         "diameter",
         "radius",
         "arbitrary_root",
-        "shapes",
+        "_shapes",
     )
 
     def __init__(self, layers, layer_of, parent_of, root, co_root,
@@ -227,7 +230,13 @@ class Layering:
         self.diameter = diameter
         self.radius = radius
         self.arbitrary_root = arbitrary_root
-        self.shapes = shapes
+        self._shapes = shapes   # None until the first read of shapes
+
+    @property
+    def shapes(self):
+        if self._shapes is None:
+            self._shapes = _shape_classes(self.layers, self.parent_of)
+        return self._shapes
 
     def __repr__(self):
         return "Layering(radius=%d, diameter=%d, root=%d, co_root=%r)" % (
@@ -286,7 +295,8 @@ def _peel(t):
     n = t.n
     if n == 1:
         return (frozenset([0]),), (0,), [None]
-    deg = [t.degree(v) for v in range(n)]
+    neighbors = t.neighbors
+    deg = list(map(len, neighbors))
     layer_of = [-1] * n
     parent_of = [None] * n
     layers = []
@@ -298,7 +308,7 @@ def _peel(t):
             layer_of[v] = i
         nxt = []
         for v in current:
-            for u in t.neighbors[v]:
+            for u in neighbors[v]:
                 if layer_of[u] == -1:
                     if parent_of[v] is not None:
                         raise AssertionError(
@@ -348,15 +358,18 @@ def layer_decomposition(t):
     The diameter is 2r when one vertex survives to the last round and
     2r+1 when two do. In the odd case the root is the central vertex
     whose subtree compares greater; ties (edge-symmetric trees) fall
-    back to the lower vertex index with arbitrary_root set. Computed
-    once per tree and kept on it, so it lives exactly as long as t.
+    back to the lower vertex index with arbitrary_root set. Only that
+    choice needs the shape index, so an even diameter leaves it to the
+    first read of layering.shapes, which ranks the same peel; even and
+    stabilizing runs never read it. Computed once per tree and kept on
+    it, so it lives exactly as long as t.
     """
     if t._layering is not None:
         return t._layering
     layers, layer_of, parent_of = _peel(t)
     r = len(layers) - 1
     top = sorted(layers[-1])
-    shapes = _shape_classes(layers, parent_of)
+    shapes = None
     arbitrary = False
     if len(top) == 1:
         root, co_root = top[0], None
@@ -366,6 +379,7 @@ def layer_decomposition(t):
         if b not in t.neighbors[a]:
             raise AssertionError("central pair %r not adjacent" % (top,))
         diameter = 2 * r + 1
+        shapes = _shape_classes(layers, parent_of)
         ca, cb = shapes.class_of[a], shapes.class_of[b]
         if ca == cb:
             root, co_root, arbitrary = a, b, True
@@ -392,8 +406,10 @@ def layer_decomposition(t):
 
 def enumerate_subtrees(t, layering):
     """Index the distinct rooted subtree shapes of t: the one
-    SubtreeIndex that layer_decomposition built and stores as
-    layering.shapes.
+    SubtreeIndex kept as layering.shapes, built with the layering for
+    an odd diameter and on its first read, here or elsewhere, for an
+    even one. Even and stabilizing runs never call this, so they never
+    build it.
 
     The root's subtree is always the last shape; with an odd diameter
     and an asymmetric tree the co-root's shape is the one before it.

@@ -1051,8 +1051,8 @@ def test_run_step_and_explore_leave_caller_state_unchanged(t, algorithm,
 
 def reference_explore(t, algorithm, ids=None, *, rules=None,
                       max_states=10 ** 6):
-    """The straightforward explorer: every transition clones the whole
-    NetworkState, delivers through _deliver and keys the child with
+    """The straightforward explorer: every transition delivers through
+    step, which clones the whole NetworkState, and keys the child with
     NetworkState.key(). What a delivery did is read off the child: an
     absorbed pulse raises deliveries_to_halted, and a LEADER declaration
     raises leader_count() and snapshots in_flight_at_leader. A terminal

@@ -24,7 +24,27 @@ from pulseforge.topology import (
     layer_decomposition,
     parse_edge_list,
 )
-from pulseforge.harness import random_tree, mirrored_tree
+from pulseforge import topology
+from pulseforge.harness import (
+    GeneratorSpec,
+    SymmetricTreeError,
+    complete_binary_tree,
+    expected_total_pulses,
+    mirrored_tree,
+    oracle_expected_leader,
+    random_asymmetric_tree,
+    random_tree,
+    sweep_rows,
+    verify_model_check,
+    verify_outcome,
+)
+from pulseforge.protocol import compile_general_rules
+from pulseforge.simulator import (
+    SeededRandom,
+    explore_all_schedules,
+    new_simulation,
+    run,
+)
 
 
 def c5():
@@ -297,6 +317,94 @@ def test_shape_children_are_the_classes_of_lower_layer_neighbours():
                               if lay.layer_of[u] < lay.layer_of[v])
                 assert idx.children[idx.class_of[v]] == tuple(kids), \
                     (edges, v)
+
+
+def _partition(keys):
+    blocks = {}
+    for v, key in enumerate(keys):
+        blocks.setdefault(key, set()).add(v)
+    return sorted(map(sorted, blocks.values()))
+
+
+def test_shapes_read_after_the_even_path_rank_the_peel_directly():
+    # The even path reads no shapes, so an even tree's index is built on
+    # the first read of layering.shapes, after everything else the path
+    # asks of the layering. It must be the index of _peel's output, and
+    # the read must change nothing else on the layering.
+    for n in range(1, 11):
+        for edges in oracles.nonisomorphic_trees(n):
+            t = TreeTopology(n, edges)
+            report = is_edge_symmetric(t)
+            lay = layer_decomposition(t)
+            if report.symmetric:
+                with pytest.raises(SymmetricTreeError):
+                    oracle_expected_leader(t)
+            else:
+                assert oracle_expected_leader(t) == lay.root
+            if lay.diameter % 2 == 0:
+                expected_total_pulses(t, "even")
+            before = (lay.root, lay.co_root, lay.arbitrary_root,
+                      lay.diameter, lay.parent_of)
+            idx = lay.shapes
+            layers, _, parent_of = topology._peel(t)
+            direct = topology._shape_classes(layers, parent_of)
+            assert (idx.count, idx.class_of, idx.children) == \
+                (direct.count, direct.class_of, direct.children), edges
+            assert _partition(idx.class_of) == _partition(
+                [oracles.ahu_subtree(t, lay.layer_of, v) for v in range(n)])
+            assert (lay.root, lay.co_root, lay.arbitrary_root,
+                    lay.diameter, lay.parent_of) == before
+            assert lay.shapes is idx
+
+
+@pytest.fixture
+def shape_builds(monkeypatch):
+    """The number of _shape_classes calls made so far."""
+    calls = []
+    build = topology._shape_classes
+
+    def counted(layers, parent_of):
+        calls.append(len(parent_of))
+        return build(layers, parent_of)
+    monkeypatch.setattr(topology, "_shape_classes", counted)
+    return calls
+
+
+def test_even_paths_build_no_shape_index(shape_builds):
+    trees = [complete_binary_tree(3), path(3), path(5)]
+    trees += [t for t in (random_tree(40, s) for s in range(20))
+              if layer_decomposition(t).diameter % 2 == 0][:3]
+    assert len(trees) == 6
+    shape_builds.clear()    # odd trees the filter dropped built theirs
+    for t in trees:
+        t = TreeTopology(t.n, t.edges())
+        state = new_simulation(t, "even")
+        outcome = run(state, SeededRandom(3), 10 ** 6)
+        assert verify_outcome(outcome, t, "even")["ok"]
+    small = complete_binary_tree(2)
+    report = explore_all_schedules(small, "even")
+    assert verify_model_check(report, small)["ok"]
+    [(row, failures)] = sweep_rows([GeneratorSpec("complete-binary",
+                                                  radius=4)], "even", [0])
+    assert row["leader_ok"] and not failures
+    assert shape_builds == []
+
+
+def test_general_rules_build_the_shape_index_once(shape_builds):
+    trees = [random_asymmetric_tree(n, s) for n in (9, 12, 30)
+             for s in range(4)]
+    parities = {layer_decomposition(TreeTopology(t.n, t.edges())).diameter
+                % 2 for t in trees}
+    assert parities == {0, 1}
+    for t in trees:
+        t = TreeTopology(t.n, t.edges())
+        shape_builds.clear()
+        compile_general_rules(t)
+        assert shape_builds == [t.n]
+        lay = layer_decomposition(t)
+        idx = enumerate_subtrees(t, lay)
+        assert idx is lay.shapes is enumerate_subtrees(t, lay)
+        assert shape_builds == [t.n]
 
 
 def test_encode_parens_examples():
