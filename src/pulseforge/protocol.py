@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from operator import ge
 from typing import NamedTuple
 
 from .topology import enumerate_subtrees, is_edge_symmetric, layer_decomposition
@@ -237,7 +238,7 @@ class RuleSet:
             for target, want in self._by_degree[d]:
                 if want and want[0] > rest[0]:
                     continue
-                if _dominates(rest, want):
+                if all(map(ge, rest, want)):
                     quota = target
                     break
             memo[rest] = quota
@@ -363,7 +364,7 @@ class NodeState(NamedTuple):
     node_id: int | None = None
 
 
-_new = tuple.__new__  # builds a NodeState from a full field tuple
+_new = tuple.__new__  # builds a NodeState or Send from a full field tuple
 
 
 def _set_output(current, output):
@@ -374,13 +375,16 @@ def _set_output(current, output):
 
 
 def _bump(counts, port, by=1):
-    """counts with entry port raised by by."""
+    """counts with entry port raised by by. The automata write this
+    slice inline; the tests' reference steps call it."""
     return counts[:port] + (counts[port] + by,) + counts[port + 1:]
 
 
 def _dominates(have, want):
-    """Componentwise have >= want, both sorted descending."""
-    return all(h >= w for h, w in zip(have, want))
+    """Componentwise have >= want, both sorted descending, compared in C
+    (no generator frame). leader_fires calls it; upstream_quota's scan
+    writes the same all(map(ge, ...)) inline."""
+    return all(map(ge, have, want))
 
 
 def _evaluate(state, rules, received):
@@ -399,7 +403,7 @@ def _evaluate(state, rules, received):
     sent = state.sent
     silent = received.count(0)
     if state.leader_armed and not silent and rules.leader_fires(received):
-        sends = [Send(p, 1, CAT_BROADCAST) for p in range(len(sent))]
+        sends = [_new(Send, (p, 1, CAT_BROADCAST)) for p in range(len(sent))]
         output = _set_output(state.output, LEADER)
         return state._replace(received=received,
                               sent=tuple([c + 1 for c in sent]),
@@ -416,8 +420,9 @@ def _evaluate(state, rules, received):
                                    or not state.downstream_active):
             sends = []
             if target > sent[port]:
-                sends.append(Send(port, target - sent[port], CAT_UPSTREAM))
-                sent = _bump(sent, port, target - sent[port])
+                sends.append(_new(Send, (port, target - sent[port],
+                                         CAT_UPSTREAM)))
+                sent = sent[:port] + (target,) + sent[port + 1:]
             return _new(NodeState, (received, sent, port, True, False)
                         + state[5:]), sends
     return _new(NodeState, (received,) + state[1:]), []
@@ -453,6 +458,11 @@ def on_deliver(state, rules, port):
     ports and the ports holding exactly one pulse stay the same unless
     c + 1 = 2. A settled state is a fixed point of _evaluate on its own
     counters, so a match unchanged by the bump changes nothing either.
+
+    A pulse that leaves two or more ports silent tries no rule either,
+    on any state: the leader rule needs no silent port and an upstream
+    rule exactly one, so _evaluate would return the same bumped state
+    and no sends.
     """
     received = state.received
     count = received[port]
@@ -463,13 +473,14 @@ def on_deliver(state, rules, port):
         sends = []
         for p in range(len(sent)):
             if p != up_port:
-                sends.append(Send(p, 1, CAT_BROADCAST))
+                sends.append(_new(Send, (p, 1, CAT_BROADCAST)))
                 sent[p] += 1
         output = _set_output(state.output, NONLEADER)
         return _new(NodeState, (received, tuple(sent), up_port, True,
                                 state.leader_armed, output, True)
                     + state[7:]), sends
-    if count and count + 1 not in rules.crossing[len(received)]:
+    if (count and count + 1 not in rules.crossing[len(received)]
+            or received.count(0) > 1):
         return _new(NodeState, (received,) + state[1:]), []
     return _evaluate(state, rules, received)
 
@@ -506,7 +517,7 @@ def stabilizing_step(state, port):
     """
     (received, sent, up_port, downstream_active, leader_armed, output,
      halted, is_leaf, live, needed, got, node_id) = state
-    received = _bump(received, port)
+    received = received[:port] + (received[port] + 1,) + received[port + 1:]
     sends = []
     if needed is not None:
         got += 1
@@ -516,14 +527,16 @@ def stabilizing_step(state, port):
     elif is_leaf:
         needed = node_id
         got = 0
-        sent = _bump(sent, live[0], node_id)
-        sends = [Send(live[0], node_id, CAT_ELECTION)]
+        up = live[0]
+        sent = sent[:up] + (sent[up] + node_id,) + sent[up + 1:]
+        sends = [_new(Send, (up, node_id, CAT_ELECTION))]
     else:
         live = tuple([p for p in live if p != port])
         if len(live) == 1:
             is_leaf = True
-            sent = _bump(sent, live[0])
-            sends = [Send(live[0], 1, CAT_LEAF)]
+            up = live[0]
+            sent = sent[:up] + (sent[up] + 1,) + sent[up + 1:]
+            sends = [_new(Send, (up, 1, CAT_LEAF))]
     return _new(NodeState, (received, sent, up_port, downstream_active,
                             leader_armed, output, halted, is_leaf, live,
                             needed, got, node_id)), sends

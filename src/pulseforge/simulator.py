@@ -88,9 +88,11 @@ class StepTable:
 
     Pulses carry no content, so the reply depends on nothing else. A
     reply is (successor, its Sends, whether its output turns LEADER).
-    The automaton is read off the protocol module when the table is
-    built, so a wrapper put there beforehand sees every step the table
-    computes.
+    react(ns, port) computes it afresh. It is a closure, built once with
+    the table, that calls the automaton directly: the automaton is read
+    off the protocol module then, so a wrapper put there beforehand sees
+    every step the table computes, and no bound method or lambda frame
+    sits between a delivery and the automaton.
 
     The table interns node states: nodes[i] is the state of index i,
     index maps a state back to i, and rows[i] has one slot per port of
@@ -106,28 +108,29 @@ class StepTable:
     delivery.
     """
 
-    __slots__ = ("room", "nodes", "index", "rows", "_automaton")
+    __slots__ = ("room", "nodes", "index", "rows", "react")
 
     def __init__(self, algorithm, rules, room):
         self.room = room
         self.nodes = []
         self.index = {}
         self.rows = []
-        if algorithm == "stabilizing":
-            self._automaton = protocol.stabilizing_step
-        else:
-            on_deliver = protocol.on_deliver
-            self._automaton = lambda ns, port: on_deliver(ns, rules, port)
+        stabilizing = algorithm == "stabilizing"
+        automaton = (protocol.stabilizing_step if stabilizing
+                     else protocol.on_deliver)
 
-    def react(self, ns, port):
-        """The reply of ns to a pulse on port, computed afresh; raises
-        ValueError when the node sends a negative number of pulses."""
-        new_state, sends = self._automaton(ns, port)
-        for send in sends:
-            if send.count < 0:
-                raise ValueError("a node sent a negative number of "
-                                 "pulses: %r" % (send,))
-        return new_state, sends, new_state.output == LEADER != ns.output
+        def react(ns, port):
+            """The reply of ns to a pulse on port, computed afresh;
+            raises ValueError when the node sends a negative number of
+            pulses."""
+            new_state, sends = (automaton(ns, port) if stabilizing
+                                else automaton(ns, rules, port))
+            for send in sends:
+                if send.count < 0:
+                    raise ValueError("a node sent a negative number of "
+                                     "pulses: %r" % (send,))
+            return new_state, sends, new_state.output == LEADER != ns.output
+        self.react = react
 
     def intern(self, ns):
         """The index of ns, interned now if it fits in room; None when
@@ -355,7 +358,7 @@ class NetworkState:
                  if s.output == LEADER])
 
 
-def _drive(state, pick, budget, once=False):
+def _drive(state, pick, budget, once=False, bits=None):
     """The one delivery loop; run and step share it.
 
     Until a verdict, asks pick(state, enabled) for a directed-edge
@@ -364,6 +367,12 @@ def _drive(state, pick, budget, once=False):
     picked pulse and returns None. The delivery and in-flight counts it
     keeps in locals are written back after every delivery, so every
     field of state is current at each pick.
+
+    bits, a plain SeededRandom's getrandbits, replaces pick: the loop
+    then draws each index itself with SeededRandom.pick's rejection
+    loop, from the same stream, and makes no call per pick. A
+    stabilizing run asks _is_stabilized only once a leader exists,
+    since it answers False before.
     """
     in_flight = state.in_flight
     enabled = state.enabled
@@ -375,6 +384,7 @@ def _drive(state, pick, budget, once=False):
     offset = state.offset
     trace = state.trace
     node_indices = state.node_indices
+    leaders = state.leaders
     moves = state.moves
     react = moves.react
     # Only a table that interned a state can hold a node's index.
@@ -390,16 +400,24 @@ def _drive(state, pick, budget, once=False):
             # scan runs at most once per call.
             if not total and state.all_halted():
                 return "terminated"
-            if stabilizing and _is_stabilized(state):
+            if stabilizing and leaders and _is_stabilized(state):
                 return "stabilized"
             if deliveries >= budget or not enabled:
                 # Live nodes but nothing to deliver: no rule set
                 # compiled by this package gets here, but a scripted
                 # misuse might.
                 return "budget_exhausted"
-        ei = pick(state, enabled)
-        if ei is None:
-            return "budget_exhausted"
+        if bits is None:
+            ei = pick(state, enabled)
+            if ei is None:
+                return "budget_exhausted"
+        else:
+            k = len(enabled)
+            width = k.bit_length()
+            r = bits(width)
+            while r >= k:
+                r = bits(width)
+            ei = enabled[r]
         left = in_flight[ei]
         if not left:
             raise NoPulseInFlightError("no pulse in flight on %r"
@@ -433,7 +451,7 @@ def _drive(state, pick, budget, once=False):
                 new_state, sends, declares = react(receiver, port)
             node_states[v] = new_state
             if declares:
-                insort(state.leaders, v)
+                insort(leaders, v)
                 # Snapshot before the leader's own broadcast goes out:
                 # this is the count the quiescence claim is about.
                 state.leader_step = deliveries
@@ -547,7 +565,9 @@ class SeededRandom:
 
     def pick(self, state, enabled):
         # randrange(k) draws k.bit_length() bits until they fall below
-        # k on CPython 3.10 to 3.13; this loop draws the same.
+        # k on CPython 3.10 to 3.13; this loop draws the same, and so
+        # does the copy of it in _drive that run uses for a plain
+        # SeededRandom.
         k = len(enabled)
         if not k:
             raise NoPulseInFlightError("nothing in flight")
@@ -674,7 +694,12 @@ def run(state, scheduler, budget):
     if budget < 1:
         raise ValueError("budget must be at least 1")
     state = state.clone()
-    status = _drive(state, scheduler.pick, budget)
+    # A plain SeededRandom's picks are drawn inside the loop; its
+    # subclasses and every other scheduler are asked for pick.
+    if type(scheduler) is SeededRandom:
+        status = _drive(state, None, budget, bits=scheduler._bits)
+    else:
+        status = _drive(state, scheduler.pick, budget)
     return Outcome(
         status=status,
         leader=state.leader_vertex(),

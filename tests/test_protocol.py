@@ -571,8 +571,9 @@ def test_describe_lists_an_all_ports_leader():
 
 
 def _no_skip(state, rules, port):
-    """on_deliver without the crossing-value skip: the top-down signal,
-    else every rule tried on the bumped counters."""
+    """on_deliver without its skips, by crossing value or by silent
+    ports: the top-down signal, else every rule tried on the bumped
+    counters."""
     if state.downstream_active and port == state.up_port:
         return on_deliver(state, rules, port)
     return _evaluate(state, rules, _bump(state.received, port))
@@ -581,8 +582,10 @@ def _no_skip(state, rules, port):
 def _check_every_delivery(monkeypatch):
     """Check each reply of protocol.on_deliver against _no_skip. The
     returned tally counts the calls and the skips, the calls that are
-    not the top-down signal and reach no rule."""
-    tally = {"calls": 0, "skips": 0, "evaluated": 0}
+    not the top-down signal and reach no rule; "silent" counts the skips
+    that only two or more silent ports explain, a first pulse on its
+    port or a count raised to a crossing value."""
+    tally = {"calls": 0, "skips": 0, "silent": 0, "evaluated": 0}
 
     def evaluate(state, rules, received):
         tally["evaluated"] += 1
@@ -596,6 +599,9 @@ def _check_every_delivery(monkeypatch):
         if tally["evaluated"] == before and not (
                 state.downstream_active and port == state.up_port):
             tally["skips"] += 1
+            count = state.received[port]
+            if not count or count + 1 in rules.crossing[len(state.received)]:
+                tally["silent"] += 1
         return got
     monkeypatch.setattr(protocol, "_evaluate", evaluate)
     monkeypatch.setattr(protocol, "on_deliver", deliver)
@@ -617,6 +623,7 @@ def test_skipped_deliveries_equal_the_full_match_on_small_shapes(
                 shapes += 1
     assert shapes == 196
     assert tally["skips"] > 0 and tally["calls"] > tally["skips"]
+    assert tally["silent"] > 0
 
 
 def test_skipped_deliveries_equal_the_full_match_in_runs(monkeypatch):
@@ -625,6 +632,7 @@ def test_skipped_deliveries_equal_the_full_match_in_runs(monkeypatch):
         state = new_simulation(random_asymmetric_tree(60, seed), "general")
         assert run(state, SeededRandom(seed), 10 ** 6).status == "terminated"
     assert tally["skips"] > 0 and tally["calls"] > tally["skips"]
+    assert tally["silent"] > 0
 
 
 def _triggers(size):
